@@ -22,7 +22,7 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "baselines/async_engine.h"
+#include "baselines/dynamic_engine.h"
 #include "baselines/interpreter_engine.h"
 #include "bench/bench_util.h"
 #include "compile_service/compile_service.h"
@@ -96,16 +96,17 @@ ColumnResult RunColumn(const Graph& graph, const std::string& cache_dir,
   service_options.cache.dir = cache_dir;  // "" = cache disabled
   CompileService service(service_options);
 
-  AsyncEngineOptions options;
-  options.profile = DynamicProfile::DiscWithSpeculation();
-  options.feedback.max_values_per_label = 1;
-  options.sync_compile = sync_compile;
-  options.simulated_compile_latency_us = kCompileLatencyUs;
-  options.simulated_cache_load_latency_us = kCacheLoadLatencyUs;
-  AsyncCompileEngine engine(
-      &service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      options);
+  DynamicProfile profile = DynamicProfile::DiscWithSpeculation();
+  profile.feedback->max_values_per_label = 1;
+  profile.simulated_compile_latency_us = kCompileLatencyUs;
+  profile.simulated_cache_load_latency_us = kCacheLoadLatencyUs;
+  // Without a fallback leg the first query waits for the compile (the
+  // blocking deployment); with one it is served on the interpreter.
+  std::unique_ptr<Engine> fallback;
+  if (!sync_compile) {
+    fallback = std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch());
+  }
+  DynamicCompilerEngine engine(profile, &service, std::move(fallback));
 
   engine.SetSimulatedTimeUs(0.0);
   DISC_CHECK_OK(engine.Prepare(graph, {{"B", "S", ""}}));
@@ -210,8 +211,8 @@ int main(int argc, char** argv) {
   for (Column& column : columns) {
     std::vector<double> l = column.r.latencies;
     const std::string prefix = std::string(column.key) + ".";
-    report.AddMetric(prefix + "p50_us", bench::Percentile(l, 50), "us");
-    report.AddMetric(prefix + "p99_us", bench::Percentile(l, 99), "us");
+    report.AddMetric(prefix + "p50_us", Percentile(l, 50), "us");
+    report.AddMetric(prefix + "p99_us", Percentile(l, 99), "us");
     report.AddMetric(prefix + "stall_queries",
                      static_cast<double>(column.r.stall_queries), "queries");
     report.AddMetric(prefix + "fallback_queries",
@@ -225,8 +226,8 @@ int main(int argc, char** argv) {
                      static_cast<double>(column.r.compile_jobs), "jobs");
     report.AddMetric(prefix + "disk_restores",
                      static_cast<double>(column.r.disk_restores), "jobs");
-    table.AddRow({column.label, bench::FmtUs(bench::Percentile(l, 50)),
-                  bench::FmtUs(bench::Percentile(l, 99)),
+    table.AddRow({column.label, bench::FmtUs(Percentile(l, 50)),
+                  bench::FmtUs(Percentile(l, 99)),
                   std::to_string(column.r.stall_queries),
                   std::to_string(column.r.fallback_queries),
                   bench::FmtUs(column.r.first_executable_us),

@@ -164,7 +164,8 @@ int main(int argc, char** argv) {
     profile.compile_options = CompileOptions::NoSpecialization();
     // 16 > the 12 replay queries, so plain observation never trips the
     // profile on its own; only the regret note (weight 4) reaches the bar.
-    profile.feedback_after = 16;
+    profile.feedback = ShapeProfileOptions{};
+    profile.feedback->min_observations = 16;
     DynamicCompilerEngine engine(profile);
     DISC_CHECK_OK(engine.Prepare(*graph, labels));
 
@@ -186,8 +187,9 @@ int main(int argc, char** argv) {
         << "12 queries stay below min_observations; nothing should trip yet";
 
     // Close the loop: the audit's verdict becomes a respecialization. The
-    // swap destroys the audited executable — the ledger Forgets its
-    // entries automatically, so the later audit only sees the new one.
+    // swap retires the audited executable (kept only as the rollback
+    // generation, never run again) and the ledger is cleared, so the later
+    // audit only sees the new one.
     ledger.Clear();
     DISC_CHECK_OK(engine.NoteKernelRegret({{kHotBatch, kHidden}},
                                           hot_before.regret_us));

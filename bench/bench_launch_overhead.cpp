@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
                              "." + name + ".";
         report.AddMetric(prefix + "mean_us", bench::Mean(latencies), "us");
         report.AddMetric(prefix + "p99_us",
-                         bench::Percentile(latencies, 99), "us");
+                         Percentile(latencies, 99), "us");
         if (stats.launch_plan_hits + stats.launch_plan_misses > 0) {
           report.AddMetric(prefix + "plan_hit_rate",
                            stats.launch_plan_hit_rate(), "ratio");
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
       }
       table.AddRow(
           {name, bench::FmtUs(bench::Mean(latencies)),
-           bench::FmtUs(bench::Percentile(latencies, 99)),
+           bench::FmtUs(Percentile(latencies, 99)),
            stats.launch_plan_hits + stats.launch_plan_misses > 0
                ? bench::Fmt("%.0f%%", stats.launch_plan_hit_rate() * 100)
                : std::string("off"),

@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
       DISC_CHECK_OK(latencies.status());
       std::vector<double> l = *latencies;
       std::string prefix = std::string(model_name) + "." + system + ".";
-      report.AddMetric(prefix + "p50_us", bench::Percentile(l, 50), "us");
-      report.AddMetric(prefix + "p99_us", bench::Percentile(l, 99), "us");
+      report.AddMetric(prefix + "p50_us", Percentile(l, 50), "us");
+      report.AddMetric(prefix + "p99_us", Percentile(l, 99), "us");
       report.AddMetric(prefix + "mean_us", bench::Mean(l), "us");
-      table.AddRow({system, bench::FmtUs(bench::Percentile(l, 50)),
-                    bench::FmtUs(bench::Percentile(l, 95)),
-                    bench::FmtUs(bench::Percentile(l, 99)),
+      table.AddRow({system, bench::FmtUs(Percentile(l, 50)),
+                    bench::FmtUs(Percentile(l, 95)),
+                    bench::FmtUs(Percentile(l, 99)),
                     bench::FmtUs(*std::max_element(l.begin(), l.end())),
                     bench::FmtUs(bench::Mean(l))});
     }
@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
       const EngineStats& stats = engine.stats();
       table.AddRow(
           {use_plan_cache ? "plan cache on" : "plan cache off",
-           bench::FmtUs(bench::Percentile(l, 50)),
-           bench::FmtUs(bench::Percentile(l, 99)), bench::FmtUs(bench::Mean(l)),
+           bench::FmtUs(Percentile(l, 50)),
+           bench::FmtUs(Percentile(l, 99)), bench::FmtUs(bench::Mean(l)),
            use_plan_cache
                ? bench::Fmt("%.0f%%", stats.launch_plan_hit_rate() * 100)
                : std::string("off")});

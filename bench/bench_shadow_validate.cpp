@@ -27,7 +27,7 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "baselines/async_engine.h"
+#include "baselines/dynamic_engine.h"
 #include "baselines/interpreter_engine.h"
 #include "bench/bench_util.h"
 #include "compile_service/compile_service.h"
@@ -120,20 +120,21 @@ LegResult RunLeg(const Graph& graph, const LegConfig& config) {
   service_options.cache.dir = config.cache_dir;  // "" = disabled
   CompileService service(service_options);
 
-  AsyncEngineOptions options;
-  options.profile = DynamicProfile::Disc();
-  options.profile.feedback_after = config.feedback_after;
-  for (const auto& hint : config.compile_hints) {
-    options.profile.compile_options.likely_dim_values.push_back(hint);
+  DynamicProfile profile = DynamicProfile::Disc();
+  if (config.feedback_after > 0) {
+    profile.feedback = ShapeProfileOptions{};
+    profile.feedback->min_observations = config.feedback_after;
   }
-  options.simulated_compile_latency_us = kCompileLatencyUs;
-  options.simulated_cache_load_latency_us = kCacheLoadLatencyUs;
-  options.validate_adoptions = config.validate;
-  options.simulated_validation_latency_us = kValidationLatencyUs;
-  AsyncCompileEngine engine(
-      &service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      options);
+  for (const auto& hint : config.compile_hints) {
+    profile.compile_options.likely_dim_values.push_back(hint);
+  }
+  profile.simulated_compile_latency_us = kCompileLatencyUs;
+  profile.simulated_cache_load_latency_us = kCacheLoadLatencyUs;
+  profile.validate_adoptions = config.validate;
+  profile.simulated_validation_latency_us = kValidationLatencyUs;
+  DynamicCompilerEngine engine(
+      profile, &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
 
   engine.SetSimulatedTimeUs(0.0);
   DISC_CHECK_OK(engine.Prepare(graph, kLabels));
@@ -256,7 +257,7 @@ int main(int argc, char** argv) {
   for (const Leg& leg : legs) {
     LegResult r = RunLeg(*graph, leg.config);
     const std::string prefix = std::string(leg.key) + ".";
-    report.AddMetric(prefix + "p50_us", bench::Percentile(r.latencies, 50),
+    report.AddMetric(prefix + "p50_us", Percentile(r.latencies, 50),
                      "us");
     report.AddMetric(prefix + "wrong_results_served",
                      static_cast<double>(r.wrong_results_served), "queries");
@@ -276,7 +277,7 @@ int main(int argc, char** argv) {
                      static_cast<double>(r.fallback_queries), "queries");
     report.AddMetric(prefix + "compile_jobs",
                      static_cast<double>(r.compile_jobs), "jobs");
-    table.AddRow({leg.label, bench::FmtUs(bench::Percentile(r.latencies, 50)),
+    table.AddRow({leg.label, bench::FmtUs(Percentile(r.latencies, 50)),
                   std::to_string(r.wrong_results_served),
                   std::to_string(r.validations_run),
                   std::to_string(r.validations_caught),
@@ -395,8 +396,8 @@ int main(int argc, char** argv) {
          ++i) {
       deltas.push_back(on.latencies[i] - off.latencies[i]);
     }
-    double median_delta = bench::Percentile(deltas, 50);
-    double p99_delta = bench::Percentile(deltas, 99);
+    double median_delta = Percentile(deltas, 50);
+    double p99_delta = Percentile(deltas, 99);
     report.AddMetric("overhead.median_paired_delta_us", median_delta, "us");
     report.AddMetric("overhead.p99_paired_delta_us", p99_delta, "us");
     std::printf(

@@ -16,6 +16,7 @@
 #include "support/artifact_dump.h"
 #include "support/json.h"
 #include "support/logging.h"
+#include "support/math_util.h"
 #include "support/trace.h"
 
 namespace disc {
@@ -201,16 +202,6 @@ inline double Mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return std::accumulate(values.begin(), values.end(), 0.0) /
          static_cast<double>(values.size());
-}
-
-inline double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  double idx = p / 100.0 * static_cast<double>(values.size() - 1);
-  size_t lo = static_cast<size_t>(idx);
-  size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = idx - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 }  // namespace bench

@@ -40,7 +40,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "baselines/async_engine.h"
 #include "baselines/baselines.h"
 #include "baselines/dynamic_engine.h"
 #include "baselines/fallback_chain.h"
@@ -291,12 +290,11 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(service_options.cache.dir);
   }
   CompileService service(service_options);
-  AsyncEngineOptions async_options;
-  async_options.validate_adoptions = validation;
-  AsyncCompileEngine async_engine(
-      &service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      async_options);
+  DynamicProfile async_profile = DynamicProfile::Disc();
+  async_profile.validate_adoptions = validation;
+  DynamicCompilerEngine async_engine(
+      async_profile, &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
   if (!async_engine.Prepare(*model.graph, model.input_dim_labels).ok()) {
     std::fprintf(stderr, "async engine setup failed\n");
     return 1;

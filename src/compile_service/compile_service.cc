@@ -63,11 +63,16 @@ const CompileJobOutcome* CompileJobHandle::TryGet() const {
   return state_->done ? &state_->outcome : nullptr;
 }
 
-const CompileJobOutcome& CompileJobHandle::Wait() const {
+const CompileJobOutcome& CompileJobHandle::Wait() const& {
   DISC_CHECK(state_ != nullptr) << "Wait on an invalid CompileJobHandle";
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->done_cv.wait(lock, [this] { return state_->done; });
   return state_->outcome;
+}
+
+CompileJobOutcome CompileJobHandle::Wait() && {
+  // Copy, not move: deduplicated handles share this outcome.
+  return static_cast<const CompileJobHandle&>(*this).Wait();
 }
 
 void CompileJobHandle::Cancel() {

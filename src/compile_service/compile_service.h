@@ -98,8 +98,13 @@ class CompileJobHandle {
   bool done() const;
   /// \brief Non-blocking: the outcome once done, nullptr before.
   const CompileJobOutcome* TryGet() const;
-  /// \brief Blocks until the job completes (ok or not).
-  const CompileJobOutcome& Wait() const;
+  /// \brief Blocks until the job completes (ok or not). The reference
+  /// lives as long as this handle: only lvalue handles hand one out.
+  const CompileJobOutcome& Wait() const&;
+  /// \brief Blocks until the job completes and returns the outcome by
+  /// value, so `const auto& o = service.Submit(...).Wait();` binds a
+  /// lifetime-extended copy instead of dangling into the temporary.
+  CompileJobOutcome Wait() &&;
   /// \brief Requests cancellation. Queued jobs complete with
   /// FailedPrecondition at dequeue; a job already running (or done) is
   /// unaffected. Affects every handle deduplicated onto this job.

@@ -1,8 +1,9 @@
-// Integer math helpers shared by shape arithmetic, buffer planning and the
-// device model.
+// Math helpers shared by shape arithmetic, buffer planning, the device
+// model, and the latency percentiles of decode and the benches.
 #ifndef DISC_SUPPORT_MATH_UTIL_H_
 #define DISC_SUPPORT_MATH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -46,6 +47,23 @@ inline int64_t Product(const std::vector<int64_t>& dims) {
 
 /// \brief Greatest common divisor with gcd(0, x) == x.
 inline int64_t Gcd(int64_t a, int64_t b) { return std::gcd(a, b); }
+
+/// \brief p-th percentile (p in [0, 100]) of an ascending-sorted sample,
+/// linearly interpolated between the two nearest ranks; 0 when empty.
+inline double SortedPercentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  double idx = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  size_t lo = static_cast<size_t>(idx);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  double frac = idx - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+/// \brief SortedPercentile of an unsorted sample (sorts a copy).
+inline double Percentile(std::vector<double> values, double p) {
+  std::sort(values.begin(), values.end());
+  return SortedPercentile(values, p);
+}
 
 }  // namespace disc
 

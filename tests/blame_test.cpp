@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/async_engine.h"
+#include "baselines/dynamic_engine.h"
 #include "baselines/dynamic_engine.h"
 #include "baselines/fallback_chain.h"
 #include "baselines/interpreter_engine.h"
@@ -196,12 +196,11 @@ TEST(ServingLedgerTest, LedgersValidAcrossAsyncHotSwap) {
   CompileServiceOptions service_options;
   service_options.num_workers = 1;
   CompileService service(service_options);
-  AsyncEngineOptions async_options;
-  async_options.simulated_compile_latency_us = 2000.0;  // deterministic gate
-  AsyncCompileEngine engine(
-      &service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      async_options);
+  DynamicProfile profile = DynamicProfile::Disc();
+  profile.simulated_compile_latency_us = 2000.0;  // deterministic gate
+  DynamicCompilerEngine engine(
+      profile, &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
   DISC_CHECK_OK(engine.Prepare(graph, {{"B", "S", ""}}));
 
   auto requests = SyntheticRequestStream(96, 60.0, 9);

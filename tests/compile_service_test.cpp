@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/async_engine.h"
 #include "baselines/dynamic_engine.h"
 #include "baselines/interpreter_engine.h"
 #include "compile_service/profile_feedback.h"
@@ -122,13 +121,22 @@ TEST(CompileServiceTest, PriorityQueueServesForegroundFirst) {
 
   std::mutex mu;
   std::condition_variable cv;
+  bool started = false;
   bool release = false;
   auto blocker = MakeRequest(g.get());
   blocker.pre_compile_hook = [&] {
     std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
     cv.wait(lock, [&] { return release; });
   };
   service.Submit(std::move(blocker));
+  // The single worker must be inside the blocker before the others queue;
+  // otherwise it may dequeue a later, higher-priority job first.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
 
   // Queue in worst order; distinct graphs so nothing dedups.
   auto g_pre = EwModel("prefetch");
@@ -235,11 +243,9 @@ TEST(CompileServiceTest, QueryDuringInFlightCompileServesFallback) {
   bool release = false;
   std::atomic<bool> compiling{false};
 
-  AsyncEngineOptions options;
-  AsyncCompileEngine engine(
-      &service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      options);
+  DynamicCompilerEngine engine(
+      DynamicProfile::Disc(), &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
   // Intercept the engine's own prefetch job: Prepare submits it, we hold
   // the worker inside it.
   // (Prepare's request has no hook, so instead park the worker with a
@@ -578,8 +584,8 @@ TEST(CompileServiceTest, CacheStoreFaultDegradesNotCrashes) {
 TEST(CompileServiceTest, WorkerFaultFailsJobAndFallbackKeepsServing) {
   auto g = EwModel("doomed");
   CompileService service;
-  AsyncCompileEngine engine(
-      &service,
+  DynamicCompilerEngine engine(
+      DynamicProfile::Disc(), &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
 
   FailpointSpec spec;
@@ -595,8 +601,11 @@ TEST(CompileServiceTest, WorkerFaultFailsJobAndFallbackKeepsServing) {
   FailpointRegistry::Global().Disarm("compile_service.worker");
 
   // Healed: the resubmitted foreground-miss job lands and gets adopted.
+  // The first query resubmits it; the drain lets the worker finish before
+  // the second query adopts it.
   service.Drain();
   EXPECT_TRUE(engine.Query({{4, 8}}, DeviceSpec::T4()).ok());
+  service.Drain();
   EXPECT_TRUE(engine.Query({{4, 8}}, DeviceSpec::T4()).ok());
   EXPECT_EQ(engine.swaps(), 1);
 }
@@ -735,29 +744,32 @@ TEST(CompileServiceTest, FlatDistributionEmitsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integration: the DynamicCompilerEngine satellite.
+// Engine integration: respecialization with and without a service.
 
 TEST(CompileServiceTest, EngineRespecializesThroughServiceOffTheQueryThread) {
   auto g = EwModel();
   CompileService service;
-  DynamicProfile profile = DynamicProfile::DiscWithSpeculation();
-  DynamicCompilerEngine engine(profile);
-  engine.set_compile_service(&service);
+  DynamicCompilerEngine engine(
+      DynamicProfile::DiscWithSpeculation(), &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
   ASSERT_TRUE(engine.Prepare(*g, {{"B", "S"}}).ok());
+  service.Drain();  // the initial compile, adopted by the first query
 
   std::vector<std::vector<int64_t>> hot = {{512, 1024}};
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(engine.Query(hot, DeviceSpec::T4()).ok());
   }
+  EXPECT_EQ(engine.swaps(), 1);
   // The respecialization ran in the background, not on the query thread.
   EXPECT_EQ(engine.respecializations(), 1);
   service.Drain();
-  EXPECT_EQ(service.stats().compiled, 1);
+  EXPECT_EQ(service.stats().compiled, 2);
 
   // A later query adopts the specialized executable.
   auto before = engine.stats().compilations;
   ASSERT_TRUE(engine.Query(hot, DeviceSpec::T4()).ok());
   EXPECT_EQ(engine.stats().compilations, before + 1);
+  EXPECT_EQ(engine.swaps(), 2);
 
   // The traffic shifts; the profile respecializes again (the old one-shot
   // feedback_applied_ flag would have stopped after the first).
@@ -770,22 +782,76 @@ TEST(CompileServiceTest, EngineRespecializesThroughServiceOffTheQueryThread) {
   EXPECT_GE(engine.respecializations(), 2);
 }
 
-TEST(CompileServiceTest, SyncCompileFallbackPreservesBlockingBehavior) {
+TEST(CompileServiceTest, EngineWithoutServiceRespecializesInline) {
   auto g = EwModel();
-  CompileService service;
-  DynamicProfile profile = DynamicProfile::DiscWithSpeculation();
-  profile.sync_compile_fallback = true;
-  DynamicCompilerEngine engine(profile);
-  engine.set_compile_service(&service);
+  DynamicCompilerEngine engine(DynamicProfile::DiscWithSpeculation());
   ASSERT_TRUE(engine.Prepare(*g, {{"B", "S"}}).ok());
+  EXPECT_EQ(engine.stats().compilations, 1);  // Prepare compiled inline
   std::vector<std::vector<int64_t>> hot = {{512, 1024}};
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(engine.Query(hot, DeviceSpec::T4()).ok());
   }
-  // Recompiled synchronously on the query thread: visible immediately,
-  // no service job involved.
+  // Recompiled synchronously on the query thread: visible immediately.
   EXPECT_EQ(engine.stats().compilations, 2);
-  EXPECT_EQ(service.stats().submitted, 0);
+  EXPECT_EQ(engine.respecializations(), 1);
+  EXPECT_EQ(engine.swaps(), 2);
+}
+
+TEST(CompileServiceTest, ServiceWithoutFallbackWaitsForTheFirstCompile) {
+  auto g = EwModel();
+  CompileService service;
+  DynamicProfile profile = DynamicProfile::Disc();
+  profile.simulated_compile_latency_us = 500.0;
+  DynamicCompilerEngine engine(profile, &service);
+  EXPECT_EQ(engine.name(), "DISC-sync");
+  ASSERT_TRUE(engine.Prepare(*g, {{"B", "S"}}).ok());
+
+  // Nothing to degrade to: the first query blocks on the job and is
+  // charged its simulated latency; the second runs compiled, no stall.
+  auto first = engine.Query({{4, 8}}, DeviceSpec::T4());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->compile_us, 500.0);
+  EXPECT_EQ(engine.swaps(), 1);
+  auto second = engine.Query({{4, 8}}, DeviceSpec::T4());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->compile_us, 0.0);
+  EXPECT_EQ(engine.stats().fallback_queries, 0);
+}
+
+// The served engine runs the same Query body as the standalone one: the
+// profile's memory mode reaches every Run and the symbolic peak formula
+// answers admission.
+TEST(CompileServiceTest, ServedArenaEngineAllocatesOncePerRunAndPredictsPeak) {
+  auto g = std::make_unique<Graph>("arena");
+  {
+    GraphBuilder b(g.get());
+    Value* x = b.Input("x", DType::kF32, {kDynamicDim, 64});
+    Value* w = b.Constant(Tensor(DType::kF32, {64, 64}));
+    Value* h = b.Relu(b.MatMul(x, w));
+    b.Output({b.Add(b.MatMul(h, w), x)});
+  }
+  auto run = [&](DynamicProfile profile) {
+    profile.per_alloc_host_us = 1.0;  // alloc_us == allocator calls
+    CompileService service;
+    DynamicCompilerEngine engine(
+        profile, &service,
+        std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
+    DISC_CHECK_OK(engine.Prepare(*g, {{"B", ""}}));
+    service.Drain();
+    DISC_CHECK_OK(engine.Query({{32, 64}}, DeviceSpec::T4()).status());
+    auto hit = engine.Query({{32, 64}}, DeviceSpec::T4());
+    DISC_CHECK_OK(hit.status());
+    EXPECT_EQ(engine.stats().launch_plan_hits, 1);
+    auto predicted = engine.PredictPeakBytes({{32, 64}});
+    DISC_CHECK_OK(predicted.status());
+    return std::make_pair(*hit, *predicted);
+  };
+  auto [arena, arena_peak] = run(DynamicProfile::DiscArena());
+  auto [caching, caching_peak] = run(DynamicProfile::Disc());
+  EXPECT_EQ(arena.alloc_us, 1.0);
+  EXPECT_GT(caching.alloc_us, arena.alloc_us);
+  EXPECT_GT(arena_peak, 0);
+  EXPECT_EQ(arena_peak, arena.peak_memory_bytes);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/async_engine.h"
+#include "baselines/dynamic_engine.h"
 #include "baselines/interpreter_engine.h"
 #include "compile_service/compile_service.h"
 #include "compile_service/hot_swap.h"
@@ -250,12 +250,11 @@ TEST_F(ShadowValidateTest, ReportJsonIsDeterministicAndParseable) {
 TEST_F(ShadowValidateTest, EngineAdmitsCleanCandidateAfterValidation) {
   auto g = EwModel();
   CompileService service;
-  AsyncEngineOptions options;
-  options.validate_adoptions = true;
-  AsyncCompileEngine engine(
-      &service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      options);
+  DynamicProfile profile = DynamicProfile::Disc();
+  profile.validate_adoptions = true;
+  DynamicCompilerEngine engine(
+      profile, &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
   ASSERT_TRUE(engine.Prepare(*g, kLabels).ok());
   service.Drain();  // compile done
 
@@ -280,12 +279,11 @@ TEST_F(ShadowValidateTest, EngineRejectsAndQuarantinesMiscompiledCandidate) {
                   .ArmFromSpec("kernel.miscompile=once")
                   .ok());
   CompileService service;
-  AsyncEngineOptions options;
-  options.validate_adoptions = true;
-  AsyncCompileEngine engine(
-      &service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      options);
+  DynamicProfile profile = DynamicProfile::Disc();
+  profile.validate_adoptions = true;
+  DynamicCompilerEngine engine(
+      profile, &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
   ASSERT_TRUE(engine.Prepare(*g, kLabels).ok());
   service.Drain();
   ASSERT_TRUE(engine.Query({{4, 8}}, DeviceSpec::T4()).ok());  // to validator
@@ -299,7 +297,7 @@ TEST_F(ShadowValidateTest, EngineRejectsAndQuarantinesMiscompiledCandidate) {
   ASSERT_NE(engine.last_validation_report(), nullptr);
   EXPECT_FALSE(engine.last_validation_report()->passed);
   CacheKey key =
-      CacheKey::Make(*g, kLabels, AsyncEngineOptions{}.profile.compile_options);
+      CacheKey::Make(*g, kLabels, profile.compile_options);
   EXPECT_TRUE(service.cache().IsPoisoned(key));
   ASSERT_TRUE(engine.Query({{4, 8}}, DeviceSpec::T4()).ok());
   EXPECT_GE(engine.poisoned_skips(), 1);
@@ -320,12 +318,12 @@ TEST_F(ShadowValidateTest, EngineRejectsAndQuarantinesMiscompiledCandidate) {
 TEST_F(ShadowValidateTest, RuntimeGuardViolationRollsBackAndPoisons) {
   auto g = EwModel();
   CompileService service;
-  AsyncEngineOptions options;
-  options.profile.feedback_after = 4;  // enables respecialization
-  AsyncCompileEngine engine(
-      &service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      options);
+  DynamicProfile profile = DynamicProfile::Disc();
+  profile.feedback = ShapeProfileOptions{};
+  profile.feedback->min_observations = 4;  // enables respecialization
+  DynamicCompilerEngine engine(
+      profile, &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
   ASSERT_TRUE(engine.Prepare(*g, kLabels).ok());
   service.Drain();
   ASSERT_TRUE(engine.Query({{8, 128}}, DeviceSpec::T4()).ok());
@@ -356,7 +354,7 @@ TEST_F(ShadowValidateTest, RuntimeGuardViolationRollsBackAndPoisons) {
   // The offending (respecialized) key is quarantined; the clean one
   // is not.
   CacheKey clean_key =
-      CacheKey::Make(*g, kLabels, options.profile.compile_options);
+      CacheKey::Make(*g, kLabels, profile.compile_options);
   EXPECT_FALSE(service.cache().IsPoisoned(clean_key));
 
   // The restored generation serves bit-identical math.
@@ -372,6 +370,76 @@ TEST_F(ShadowValidateTest, RuntimeGuardViolationRollsBackAndPoisons) {
   }
 }
 
+// Regret-driven respecialization takes the same install path as every
+// other candidate: with the admission gate on, a miscompiled regret
+// candidate is caught and quarantined while the incumbent keeps serving.
+TEST_F(ShadowValidateTest, RegretCandidateIsGatedAndQuarantined) {
+  auto g = EwModel();
+  CompileService service;
+  DynamicProfile profile = DynamicProfile::Disc();
+  profile.validate_adoptions = true;
+  profile.feedback = ShapeProfileOptions{};
+  profile.feedback->min_observations = 8;
+  DynamicCompilerEngine engine(
+      profile, &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
+  InterpreterEngine reference(InterpreterProfile::PyTorch());
+  ASSERT_TRUE(reference.Prepare(*g, kLabels).ok());
+  auto expect_reference_math = [&](int64_t rows, int64_t cols) {
+    Tensor in = DeterministicInput(rows, cols);
+    auto want = reference.Execute({in});
+    auto got = engine.Execute({in});
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    for (int64_t e = 0; e < (*want)[0].num_elements(); ++e) {
+      ASSERT_EQ((*got)[0].f32_data()[e], (*want)[0].f32_data()[e]);
+    }
+  };
+
+  // A clean incumbent passes the gate. Three queries stay below the
+  // profile's observation floor.
+  ASSERT_TRUE(engine.Prepare(*g, kLabels).ok());
+  service.Drain();
+  ASSERT_TRUE(engine.Query({{8, 128}}, DeviceSpec::T4()).ok());
+  service.Drain();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(engine.Query({{8, 128}}, DeviceSpec::T4()).ok());
+  }
+  ASSERT_EQ(engine.swaps(), 1);
+  ASSERT_EQ(engine.respecializations(), 0);
+
+  // The regret note (weight 4) lifts the profile over the floor; the
+  // respecialization it triggers compiles with a miscompile injected.
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .ArmFromSpec("kernel.miscompile=once")
+                  .ok());
+  ASSERT_TRUE(engine.NoteKernelRegret({{8, 128}}, 5.0).ok());
+  EXPECT_EQ(engine.respecializations(), 1);
+  service.Drain();
+  ASSERT_TRUE(engine.Query({{8, 128}}, DeviceSpec::T4()).ok());  // to gate
+  expect_reference_math(8, 128);
+  service.Drain();
+  ASSERT_TRUE(engine.Query({{8, 128}}, DeviceSpec::T4()).ok());  // verdict
+  FailpointRegistry::Global().DisarmAll();
+
+  EXPECT_EQ(engine.validations_run(), 2);
+  EXPECT_EQ(engine.validations_caught(), 1);
+  EXPECT_EQ(engine.swaps(), 1);  // the incumbent never left
+  ASSERT_NE(engine.last_validation_report(), nullptr);
+  EXPECT_FALSE(engine.last_validation_report()->passed);
+  CompileOptions hinted = profile.compile_options;
+  hinted.likely_dim_values = {{"B", {8}}, {"S", {128}}};
+  CacheKey regret_key = CacheKey::Make(*g, kLabels, hinted);
+  EXPECT_EQ(engine.last_validation_report()->key_id, regret_key.ToId());
+  EXPECT_TRUE(service.cache().IsPoisoned(regret_key));
+  EXPECT_FALSE(service.cache().IsPoisoned(
+      CacheKey::Make(*g, kLabels, profile.compile_options)));
+
+  // Zero wrong results, at the hot shape and elsewhere.
+  expect_reference_math(8, 128);
+  expect_reference_math(3, 7);
+}
+
 TEST_F(ShadowValidateTest, QuarantineSurvivesWarmRestartWithZeroCompiles) {
   auto g = EwModel();
   CacheDir dir("restart");
@@ -383,12 +451,11 @@ TEST_F(ShadowValidateTest, QuarantineSurvivesWarmRestartWithZeroCompiles) {
                   .ok());
   {
     CompileService service(service_options);
-    AsyncEngineOptions options;
-    options.validate_adoptions = true;
-    AsyncCompileEngine engine(
-        &service,
-        std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-        options);
+    DynamicProfile profile = DynamicProfile::Disc();
+    profile.validate_adoptions = true;
+    DynamicCompilerEngine engine(
+        profile, &service,
+        std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
     ASSERT_TRUE(engine.Prepare(*g, kLabels).ok());
     service.Drain();
     ASSERT_TRUE(engine.Query({{4, 8}}, DeviceSpec::T4()).ok());
@@ -404,12 +471,11 @@ TEST_F(ShadowValidateTest, QuarantineSurvivesWarmRestartWithZeroCompiles) {
   // refuses to resubmit the poisoned key, and the service compiles
   // NOTHING for it — fallback serves correct math indefinitely.
   CompileService restarted(service_options);
-  AsyncEngineOptions options;
-  options.validate_adoptions = true;
-  AsyncCompileEngine engine(
-      &restarted,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
-      options);
+  DynamicProfile profile = DynamicProfile::Disc();
+  profile.validate_adoptions = true;
+  DynamicCompilerEngine engine(
+      profile, &restarted,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
   ASSERT_TRUE(engine.Prepare(*g, kLabels).ok());
   restarted.Drain();
   for (int i = 0; i < 3; ++i) {
