@@ -292,6 +292,11 @@ int main(int argc, char** argv) {
   CompileService service(service_options);
   DynamicProfile async_profile = DynamicProfile::Disc();
   async_profile.validate_adoptions = validation;
+  // Adopt on the simulated clock, as F10 does: the swap lands a fixed
+  // 400us of simulated time after submission however fast the worker
+  // runs, so the fallback-query count and the trace are the same on every
+  // run.
+  async_profile.simulated_compile_latency_us = 400.0;
   DynamicCompilerEngine async_engine(
       async_profile, &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
@@ -327,10 +332,10 @@ int main(int argc, char** argv) {
   // shadow-validated before the swap above; export the deterministic
   // verdict and re-parse it — what CI's trace-smoke step asserts.
   if (validation) {
-    // The gate resolves opportunistically on the serving path (production
-    // mode has no simulated clock to gate on): drain the service so the
-    // low-priority validation task has finished, then one more query
-    // adopts — or rejects — the candidate.
+    // The gate resolves on the serving path once the simulated clock has
+    // passed its deadline: drain the service so the low-priority
+    // validation task has finished, then one more query adopts — or
+    // rejects — the candidate if the waves above did not.
     service.Drain();
     async_engine.Query(shape_fn(8, 32), DeviceSpec::A10());
     const ValidationReport* vreport = async_engine.last_validation_report();

@@ -261,7 +261,11 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
         Executable::Step step;
         step.kind = Executable::Step::Kind::kKernel;
         step.kernel = kernel_of_group.at(unit);
-        exe->steps_.push_back(step);
+        for (const KernelVariant& variant : step.kernel->variants()) {
+          step.variant_keys.push_back(step.kernel->name() + "/" +
+                                      variant.name);
+        }
+        exe->steps_.push_back(std::move(step));
         continue;
       }
       Node* node = unit_nodes.at(unit).front();
@@ -282,7 +286,7 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
         return Status::Internal(std::string("unscheduled node: ") +
                                 OpName(node->kind()));
       }
-      exe->steps_.push_back(step);
+      exe->steps_.push_back(std::move(step));
     }
 
     // 5b. Buffer liveness over the step schedule is shape-independent, so
@@ -368,6 +372,15 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
     exe->report_.arena_fallbacks =
         static_cast<int64_t>(exe->memory_plan_.fallbacks.size());
     (void)dumper.Write("memory_plan.json", exe->memory_plan_.ToJson());
+  }
+
+  // 8. Lower all host-side shape work — input binding, guards, kernel and
+  // library stats, buffer sizes, the arena formulas — into one flat shape
+  // program, so a launch-plan miss evaluates a tape instead of walking
+  // DimExpr trees.
+  {
+    PhaseScope phase(&exe->report_, "shape-program");
+    DISC_RETURN_IF_ERROR(exe->BuildShapeProgram());
   }
 
   exe->report_.shapes = exe->analysis_->manager().GetStats();

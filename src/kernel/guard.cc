@@ -50,6 +50,38 @@ Result<bool> Guard::Evaluate(const SymbolBindings& bindings) const {
   return true;
 }
 
+LoweredGuard Guard::Lower(ShapeProgram::Builder* builder) const {
+  LoweredGuard lowered;
+  for (const DimPredicate& p : predicates) {
+    ShapeProgram::Op op = ShapeProgram::Op::kEqual;
+    switch (p.kind) {
+      case DimPredicate::Kind::kDivisibleBy:
+        op = ShapeProgram::Op::kDivisibleBy;
+        break;
+      case DimPredicate::Kind::kLessEqual:
+        op = ShapeProgram::Op::kLessEqual;
+        break;
+      case DimPredicate::Kind::kGreaterEqual:
+        op = ShapeProgram::Op::kGreaterEqual;
+        break;
+      case DimPredicate::Kind::kEqual:
+        break;
+    }
+    lowered.predicates.push_back(builder->Emit(op, builder->Lower(p.expr),
+                                               builder->Const(p.operand)));
+  }
+  return lowered;
+}
+
+Result<bool> LoweredGuard::Evaluate(const ShapeValues& values) const {
+  DISC_INJECT_FAILPOINT("kernel.guard");
+  for (ShapeSlot p : predicates) {
+    DISC_RETURN_IF_ERROR(values.Check(p));
+    if (values[p] == 0) return false;
+  }
+  return true;
+}
+
 std::string Guard::ToString() const {
   if (predicates.empty()) return "true";
   return JoinMapped(predicates, " && ",

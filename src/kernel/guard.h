@@ -14,6 +14,7 @@
 
 #include "shape/dim_expr.h"
 #include "shape/shape_analysis.h"
+#include "shape/shape_program.h"
 
 namespace disc {
 
@@ -33,6 +34,17 @@ struct DimPredicate {
   std::string ToString() const;
 };
 
+/// \brief A Guard lowered into a ShapeProgram: each predicate's 0/1 result
+/// slot, in order.
+struct LoweredGuard {
+  std::vector<ShapeSlot> predicates;
+
+  /// \brief Guard::Evaluate over one program evaluation: the same
+  /// `kernel.guard` failpoint hit, then the predicates in order, stopping at
+  /// the first false one or the first error.
+  Result<bool> Evaluate(const ShapeValues& values) const;
+};
+
 /// Conjunction of predicates; empty == always true.
 struct Guard {
   std::vector<DimPredicate> predicates;
@@ -40,6 +52,7 @@ struct Guard {
   bool always_true() const { return predicates.empty(); }
   /// \brief True iff every predicate holds under the bindings.
   Result<bool> Evaluate(const SymbolBindings& bindings) const;
+  LoweredGuard Lower(ShapeProgram::Builder* builder) const;
   std::string ToString() const;
 };
 

@@ -1,5 +1,6 @@
 #include "kernel/kernel.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/logging.h"
@@ -121,9 +122,36 @@ Result<int> FusedKernel::SelectVariantIndex(
   return Status::Internal("no variant admitted (missing generic fallback?)");
 }
 
+Result<int> FusedKernel::SelectVariantIndex(
+    const std::vector<LoweredGuard>& guards, const ShapeValues& values) const {
+  if (guard_mispredict_ && variants_.size() > 1) return 0;  // as above
+  for (size_t i = 0; i < guards.size(); ++i) {
+    DISC_ASSIGN_OR_RETURN(bool admitted, guards[i].Evaluate(values));
+    if (admitted) return static_cast<int>(i);
+  }
+  return Status::Internal("no variant admitted (missing generic fallback?)");
+}
+
+std::vector<LoweredGuard> FusedKernel::LowerGuards(
+    ShapeProgram::Builder* builder) const {
+  std::vector<LoweredGuard> guards;
+  guards.reserve(variants_.size());
+  for (const KernelVariant& variant : variants_) {
+    guards.push_back(variant.guard.Lower(builder));
+  }
+  return guards;
+}
+
 Result<KernelStats> FusedKernel::ComputeStats(
     const SymbolBindings& bindings, const KernelVariant& variant) const {
-  KernelStats stats;
+  DISC_ASSIGN_OR_RETURN(KernelStatsInputs inputs,
+                        ComputeStatsInputs(bindings));
+  return StatsFromInputs(inputs, variant);
+}
+
+Result<KernelStatsInputs> FusedKernel::ComputeStatsInputs(
+    const SymbolBindings& bindings) const {
+  KernelStatsInputs in;
   auto numel_of = [&](const Value* v) -> Result<int64_t> {
     DISC_ASSIGN_OR_RETURN(std::vector<int64_t> dims,
                           analysis_->EvaluateShape(v, bindings));
@@ -132,11 +160,11 @@ Result<KernelStats> FusedKernel::ComputeStats(
 
   for (const Value* input : group_.inputs) {
     DISC_ASSIGN_OR_RETURN(int64_t n, numel_of(input));
-    stats.bytes_read += n * DTypeSize(input->dtype());
+    in.bytes_read += n * DTypeSize(input->dtype());
   }
   for (const Value* output : group_.outputs) {
     DISC_ASSIGN_OR_RETURN(int64_t n, numel_of(output));
-    stats.bytes_written += n * DTypeSize(output->dtype());
+    in.bytes_written += n * DTypeSize(output->dtype());
   }
   for (const Node* node : group_.nodes) {
     int64_t cost = OpFlopCost(node->kind());
@@ -147,36 +175,117 @@ Result<KernelStats> FusedKernel::ComputeStats(
     } else {
       DISC_ASSIGN_OR_RETURN(domain, numel_of(node->output(0)));
     }
-    stats.flops += domain * cost;
+    in.flops += domain * cost;
     // Index arithmetic: eliminated by the broadcast-free specialization,
     // otherwise proportional to rank per element.
-    if (!variant.broadcast_free) {
-      stats.index_ops += domain * std::max<int64_t>(
-                                      1, node->output(0)->rank());
-    } else {
-      stats.index_ops += domain;
-    }
+    in.index_ops += domain * std::max<int64_t>(1, node->output(0)->rank());
+    in.broadcast_free_index_ops += domain;
   }
 
-  DISC_ASSIGN_OR_RETURN(int64_t root_elems,
-                        root_elements_.Evaluate(bindings));
-  int64_t row = 0;
-  int64_t rows = 0;
+  DISC_ASSIGN_OR_RETURN(in.root_elements, root_elements_.Evaluate(bindings));
   if (row_extent_.valid()) {
-    DISC_ASSIGN_OR_RETURN(row, row_extent_.Evaluate(bindings));
+    DISC_ASSIGN_OR_RETURN(in.row_extent, row_extent_.Evaluate(bindings));
     // Rows are counted over the reduce input space.
     for (const Node* node : group_.nodes) {
       if (IsReduction(node->kind())) {
-        DISC_ASSIGN_OR_RETURN(int64_t full, numel_of(node->operand(0)));
-        rows = row > 0 ? full / row : 0;
+        DISC_ASSIGN_OR_RETURN(in.reduce_elements, numel_of(node->operand(0)));
         break;
       }
     }
   }
+  return in;
+}
+
+KernelStatsTerms<ShapeSlot> FusedKernel::LowerStatsInputs(
+    ShapeProgram::Builder* builder) const {
+  using Op = ShapeProgram::Op;
+  // Sums are left-folded from their first term, so a sum's first error is
+  // its first failing term's, as in the loops of ComputeStatsInputs.
+  auto add = [&](ShapeSlot* sum, ShapeSlot n, int64_t factor) {
+    ShapeSlot term =
+        factor == 1 ? n : builder->Emit(Op::kMul, n, builder->Const(factor));
+    *sum = *sum < 0 ? term : builder->Emit(Op::kAdd, *sum, term);
+  };
+  KernelStatsTerms<ShapeSlot> t;
+  t.bytes_read = t.bytes_written = t.flops = t.index_ops =
+      t.broadcast_free_index_ops = -1;
+  for (const Value* input : group_.inputs) {
+    add(&t.bytes_read, builder->LowerNumElements(input),
+        DTypeSize(input->dtype()));
+  }
+  for (const Value* output : group_.outputs) {
+    add(&t.bytes_written, builder->LowerNumElements(output),
+        DTypeSize(output->dtype()));
+  }
+  // Member ops mostly share a few launch domains: one term per distinct
+  // domain, in first-use order, with the members' weights summed. The
+  // sums are equal (integer addition is associative and commutative) and
+  // so is the first error (a repeated domain fails like its first use).
+  struct DomainTerm {
+    ShapeSlot domain;
+    int64_t flops = 0;
+    int64_t index_ops = 0;
+    int64_t elements = 0;
+  };
+  std::vector<DomainTerm> domains;
+  const Node* reduction = nullptr;
+  for (const Node* node : group_.nodes) {
+    int64_t cost = OpFlopCost(node->kind());
+    ShapeSlot domain;
+    if (IsReduction(node->kind())) {
+      if (reduction == nullptr) reduction = node;
+      domain = builder->LowerNumElements(node->operand(0));
+      cost = std::max<int64_t>(cost, 1);
+    } else {
+      domain = builder->LowerNumElements(node->output(0));
+    }
+    auto it = std::find_if(domains.begin(), domains.end(),
+                           [&](const DomainTerm& d) {
+                             return d.domain == domain;
+                           });
+    if (it == domains.end()) it = domains.insert(it, {domain});
+    it->flops += cost;
+    it->index_ops += std::max<int64_t>(1, node->output(0)->rank());
+    it->elements += 1;
+  }
+  // Lower only the index-op counts some variant reads.
+  bool generic_indexing = false;
+  bool broadcast_free = false;
+  for (const KernelVariant& variant : variants_) {
+    (variant.broadcast_free ? broadcast_free : generic_indexing) = true;
+  }
+  for (const DomainTerm& d : domains) {
+    add(&t.flops, d.domain, d.flops);
+    if (generic_indexing) add(&t.index_ops, d.domain, d.index_ops);
+    if (broadcast_free) add(&t.broadcast_free_index_ops, d.domain, d.elements);
+  }
+  for (ShapeSlot* sum : {&t.bytes_read, &t.bytes_written, &t.flops,
+                         &t.index_ops, &t.broadcast_free_index_ops}) {
+    if (*sum < 0) *sum = builder->Const(0);
+  }
+  t.root_elements = builder->Lower(root_elements_);
+  t.row_extent = row_extent_.valid() ? builder->Lower(row_extent_)
+                                     : builder->Const(0);
+  t.reduce_elements = reduction != nullptr
+                          ? builder->LowerNumElements(reduction->operand(0))
+                          : builder->Const(0);
+  return t;
+}
+
+KernelStats FusedKernel::StatsFromInputs(const KernelStatsInputs& in,
+                                         const KernelVariant& variant) const {
+  KernelStats stats;
+  stats.bytes_read = in.bytes_read;
+  stats.bytes_written = in.bytes_written;
+  stats.flops = in.flops;
+  stats.index_ops =
+      variant.broadcast_free ? in.broadcast_free_index_ops : in.index_ops;
+  const int64_t row = in.row_extent;
+  const int64_t rows = row > 0 ? in.reduce_elements / row : 0;
 
   switch (variant.schedule) {
     case ReduceSchedule::kNone: {
-      int64_t elems = CeilDiv(root_elems, variant.vector_width);
+      int64_t elems = CeilDiv(in.root_elements, variant.vector_width);
       stats.threads_per_block = 256;
       stats.num_blocks = std::max<int64_t>(1, CeilDiv(elems, 256));
       break;

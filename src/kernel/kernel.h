@@ -73,6 +73,26 @@ struct KernelStats {
   int64_t total_bytes() const { return bytes_read + bytes_written; }
 };
 
+/// The shape-dependent integers KernelStats derives from, in the order the
+/// tree walker evaluates them. `T` is int64_t for the values themselves
+/// (KernelStatsInputs) and ShapeSlot for where a ShapeProgram computes them.
+template <typename T>
+struct KernelStatsTerms {
+  T bytes_read{};
+  T bytes_written{};
+  T flops{};
+  /// Index arithmetic with generic indexing (rank ops per element) and
+  /// with the broadcast-free specialization (one op per element).
+  T index_ops{};
+  T broadcast_free_index_ops{};
+  T root_elements{};
+  /// Reduce-bearing kernels only (0 otherwise): the row length and the
+  /// element count of the first reduction's input.
+  T row_extent{};
+  T reduce_elements{};
+};
+using KernelStatsInputs = KernelStatsTerms<int64_t>;
+
 /// Options controlling variant generation.
 struct SpecializeOptions {
   bool enable_specialization = true;  // false = only the generic variant
@@ -113,6 +133,10 @@ class FusedKernel {
   /// decision. A launch plan stores this index so cache-hit runs replay
   /// the dispatch without re-evaluating any guard.
   Result<int> SelectVariantIndex(const SymbolBindings& bindings) const;
+  /// \brief The same dispatch over one ShapeProgram evaluation; `guards`
+  /// is parallel to variants() (see LowerGuards).
+  Result<int> SelectVariantIndex(const std::vector<LoweredGuard>& guards,
+                                 const ShapeValues& values) const;
 
   /// \brief Executes the kernel on the CPU: reads group inputs from `env`,
   /// inserts the group outputs. Variant choice never changes numerics.
@@ -120,8 +144,18 @@ class FusedKernel {
                  std::unordered_map<const Value*, Tensor>* env) const;
 
   /// \brief Resource footprint under concrete bindings for one variant.
+  /// Walks the DimExpr trees: the launch plan reads the same integers off
+  /// its ShapeProgram instead (LowerStatsInputs + StatsFromInputs).
   Result<KernelStats> ComputeStats(const SymbolBindings& bindings,
                                    const KernelVariant& variant) const;
+  /// \brief Launch geometry and traffic of `variant` from the integers.
+  KernelStats StatsFromInputs(const KernelStatsInputs& inputs,
+                              const KernelVariant& variant) const;
+
+  /// \brief Lowers the stats inputs and every variant's guard.
+  KernelStatsTerms<ShapeSlot> LowerStatsInputs(
+      ShapeProgram::Builder* builder) const;
+  std::vector<LoweredGuard> LowerGuards(ShapeProgram::Builder* builder) const;
 
   /// \brief The variant list this kernel WOULD have been compiled with
   /// under `options` — the counterfactual the regret audit compares the
@@ -155,6 +189,9 @@ class FusedKernel {
  private:
   friend void BuildVariants(FusedKernel* kernel,
                             const SpecializeOptions& options);
+
+  Result<KernelStatsInputs> ComputeStatsInputs(
+      const SymbolBindings& bindings) const;
 
   FusionGroup group_;
   const ShapeAnalysis* analysis_;

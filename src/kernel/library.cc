@@ -46,4 +46,50 @@ Result<LibraryCallStats> ComputeLibraryStats(const Node& node,
   }
 }
 
+Result<LoweredLibraryStats> LowerLibraryStats(const Node& node,
+                                              const ShapeAnalysis& analysis,
+                                              ShapeProgram::Builder* builder) {
+  using Op = ShapeProgram::Op;
+  // Left-folded sums from the first term, like the accumulating loops above.
+  auto bytes_of = [&](const std::vector<Value*>& values) {
+    ShapeSlot sum = -1;
+    for (const Value* v : values) {
+      ShapeSlot term =
+          builder->Emit(Op::kMul, builder->LowerNumElements(v),
+                        builder->Const(DTypeSize(v->dtype())));
+      sum = sum < 0 ? term : builder->Emit(Op::kAdd, sum, term);
+    }
+    return sum < 0 ? builder->Const(0) : sum;
+  };
+  LoweredLibraryStats stats;
+  stats.bytes_read = bytes_of(node.operands());
+  stats.bytes_written = bytes_of(node.outputs());
+  // flops = 2 * Product(out) * <contraction factors>, multiplied in that
+  // order.
+  ShapeSlot flops = builder->Emit(Op::kMul, builder->Const(2),
+                                  builder->LowerNumElements(node.output(0)));
+  switch (node.kind()) {
+    case OpKind::kMatMul: {
+      const SymShape& a = analysis.GetShape(node.operand(0));
+      bool ta = node.GetIntAttr("transpose_a", 0) != 0;
+      stats.flops = builder->Emit(
+          Op::kMul, flops,
+          builder->LowerCanonical(a[a.size() - (ta ? 2 : 1)]));
+      return stats;
+    }
+    case OpKind::kConv2D: {
+      const SymShape& filter = analysis.GetShape(node.operand(1));
+      for (int d = 0; d < 3; ++d) {
+        flops = builder->Emit(Op::kMul, flops,
+                              builder->LowerCanonical(filter[d]));
+      }
+      stats.flops = flops;
+      return stats;
+    }
+    default:
+      return Status::InvalidArgument(std::string(OpName(node.kind())) +
+                                     " is not a library op");
+  }
+}
+
 }  // namespace disc

@@ -10,6 +10,7 @@
 
 #include "ir/graph.h"
 #include "shape/shape_analysis.h"
+#include "shape/shape_program.h"
 #include "support/status.h"
 
 namespace disc {
@@ -25,10 +26,24 @@ inline bool IsLibraryOp(OpKind kind) {
   return GetOpInfo(kind).op_class == OpClass::kLibrary;
 }
 
-/// \brief Footprint of a library call under concrete bindings.
+/// \brief Footprint of a library call under concrete bindings (walks the
+/// DimExpr trees; the launch plan reads LowerLibraryStats' slots instead).
 Result<LibraryCallStats> ComputeLibraryStats(const Node& node,
                                              const ShapeAnalysis& analysis,
                                              const SymbolBindings& bindings);
+
+/// Where a ShapeProgram computes a library call's footprint; fields in the
+/// order ComputeLibraryStats evaluates them.
+struct LoweredLibraryStats {
+  ShapeSlot bytes_read = -1;
+  ShapeSlot bytes_written = -1;
+  ShapeSlot flops = -1;
+};
+
+/// \brief Lowers ComputeLibraryStats for `node` (a library op).
+Result<LoweredLibraryStats> LowerLibraryStats(const Node& node,
+                                              const ShapeAnalysis& analysis,
+                                              ShapeProgram::Builder* builder);
 
 }  // namespace disc
 

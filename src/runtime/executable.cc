@@ -150,9 +150,123 @@ void Executable::BuildReleaseSchedule() {
   }
 }
 
+Status Executable::BuildShapeProgram() {
+  ShapeProgram::Builder builder(*analysis_);
+  if (memory_plan_.planned && memory_plan_.peak_bytes.valid()) {
+    arena_bytes_slot_ = builder.LowerCanonical(memory_plan_.peak_bytes);
+  }
+  arena_bytes_end_ = builder.size();
+  for (Step& step : steps_) {
+    auto lower_alloc = [&](const Value* v) {
+      alloc_bytes_.push_back(builder.Emit(
+          ShapeProgram::Op::kMul, builder.LowerNumElements(v),
+          builder.Const(DTypeSize(v->dtype()))));
+      ++step.num_allocs;
+    };
+    switch (step.kind) {
+      case Step::Kind::kConstant:
+        lower_alloc(step.node->output(0));
+        break;
+      case Step::Kind::kHost:
+        break;
+      case Step::Kind::kLibrary: {
+        DISC_ASSIGN_OR_RETURN(
+            step.library_stats,
+            LowerLibraryStats(*step.node, *analysis_, &builder));
+        for (const Value* out : step.node->outputs()) lower_alloc(out);
+        break;
+      }
+      case Step::Kind::kKernel:
+        step.guards = step.kernel->LowerGuards(&builder);
+        step.kernel_stats = step.kernel->LowerStatsInputs(&builder);
+        for (const Value* out : step.kernel->group().outputs) {
+          lower_alloc(out);
+        }
+        break;
+    }
+  }
+  for (const DimExpr& bytes : buffer_plan_.slot_bytes) {
+    slot_bytes_.push_back(builder.LowerCanonical(bytes));
+  }
+  shape_program_ = std::move(builder).Finish();
+  return Status::OK();
+}
+
 Result<LaunchPlan> Executable::BuildLaunchPlan(
     const std::vector<std::vector<int64_t>>& input_dims) const {
   DISC_TRACE_SCOPE("plan-build", "runtime");
+  // One pass over the tape computes every integer below; the loop then
+  // only copies them out, checking deferred arithmetic errors and the
+  // `kernel.guard` failpoint in the order the tree walker meets them.
+  ShapeValues values;
+  DISC_RETURN_IF_ERROR(shape_program_.Run(input_dims, &values));
+  LaunchPlan plan;
+  plan.bindings = shape_program_.Bindings(values);
+  plan.steps.resize(steps_.size());
+  plan.alloc_bytes.reserve(alloc_bytes_.size());
+  const ShapeSlot* alloc = alloc_bytes_.data();
+  for (size_t s = 0; s < steps_.size(); ++s) {
+    const Step& step = steps_[s];
+    PlannedStep& ps = plan.steps[s];
+    if (step.kind == Step::Kind::kLibrary) {
+      const LoweredLibraryStats& lib = step.library_stats;
+      for (ShapeSlot slot : {lib.bytes_read, lib.bytes_written, lib.flops}) {
+        DISC_RETURN_IF_ERROR(values.Check(slot));
+      }
+      ps.library_stats.bytes_read = values[lib.bytes_read];
+      ps.library_stats.bytes_written = values[lib.bytes_written];
+      ps.library_stats.flops = values[lib.flops];
+    } else if (step.kind == Step::Kind::kKernel) {
+      const FusedKernel& kernel = *step.kernel;
+      DISC_ASSIGN_OR_RETURN(ps.variant_index,
+                            kernel.SelectVariantIndex(step.guards, values));
+      // Guard soundness re-check, as in BuildLaunchPlanByTreeWalk.
+      DISC_ASSIGN_OR_RETURN(bool admitted,
+                            step.guards[ps.variant_index].Evaluate(values));
+      if (!admitted) {
+        return Status::DataLoss(StrFormat(
+            "guard violation: kernel %s selected variant %d ('%s') whose "
+            "guard rejects the bound shapes",
+            kernel.name().c_str(), ps.variant_index,
+            kernel.variants()[ps.variant_index].name.c_str()));
+      }
+      const KernelStatsTerms<ShapeSlot>& t = step.kernel_stats;
+      for (ShapeSlot slot : {t.bytes_read, t.bytes_written, t.flops,
+                             t.root_elements, t.row_extent,
+                             t.reduce_elements}) {
+        DISC_RETURN_IF_ERROR(values.Check(slot));
+      }
+      KernelStatsInputs inputs;
+      inputs.bytes_read = values[t.bytes_read];
+      inputs.bytes_written = values[t.bytes_written];
+      inputs.flops = values[t.flops];
+      inputs.index_ops = values[t.index_ops];
+      inputs.broadcast_free_index_ops = values[t.broadcast_free_index_ops];
+      inputs.root_elements = values[t.root_elements];
+      inputs.row_extent = values[t.row_extent];
+      inputs.reduce_elements = values[t.reduce_elements];
+      ps.kernel_stats = kernel.StatsFromInputs(
+          inputs, kernel.variants()[ps.variant_index]);
+    }
+    for (size_t i = 0; i < step.num_allocs; ++i, ++alloc) {
+      DISC_RETURN_IF_ERROR(values.Check(*alloc));
+      plan.alloc_bytes.push_back(values[*alloc]);
+    }
+  }
+  if (arena_bytes_slot_ >= 0) {
+    DISC_RETURN_IF_ERROR(values.Check(arena_bytes_slot_));
+    plan.arena_bytes = values[arena_bytes_slot_];
+  }
+  plan.slot_bytes.reserve(slot_bytes_.size());
+  for (ShapeSlot slot : slot_bytes_) {
+    DISC_RETURN_IF_ERROR(values.Check(slot));
+    plan.slot_bytes.push_back(values[slot]);
+  }
+  return plan;
+}
+
+Result<LaunchPlan> Executable::BuildLaunchPlanByTreeWalk(
+    const std::vector<std::vector<int64_t>>& input_dims) const {
   LaunchPlan plan;
   // Host-side shape computation: solve every symbolic dim once per
   // signature.
@@ -165,7 +279,7 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
     auto record_alloc = [&](const Value* v) -> Status {
       DISC_ASSIGN_OR_RETURN(std::vector<int64_t> dims,
                             analysis_->EvaluateShape(v, plan.bindings));
-      ps.alloc_bytes.push_back(Product(dims) * DTypeSize(v->dtype()));
+      plan.alloc_bytes.push_back(Product(dims) * DTypeSize(v->dtype()));
       return Status::OK();
     };
     switch (step.kind) {
@@ -242,9 +356,12 @@ Result<int64_t> Executable::PredictPeakBytes(
           plan_cache_.Peek(ShapeSignature(input_dims))) {
     return plan->arena_bytes;
   }
-  DISC_ASSIGN_OR_RETURN(SymbolBindings bindings,
-                        analysis_->BindInputs(input_dims));
-  return analysis_->EvaluateDim(memory_plan_.peak_bytes, bindings);
+  // A miss evaluates just the tape prefix that computes the peak formula.
+  ShapeValues values;
+  DISC_RETURN_IF_ERROR(
+      shape_program_.Run(input_dims, &values, arena_bytes_end_));
+  DISC_RETURN_IF_ERROR(values.Check(arena_bytes_slot_));
+  return values[arena_bytes_slot_];
 }
 
 Result<RunResult> Executable::RunInternal(
@@ -253,7 +370,17 @@ Result<RunResult> Executable::RunInternal(
   auto start = std::chrono::steady_clock::now();
   const bool execute_data = inputs != nullptr;
   TraceScope run_scope("executable-run", "runtime");
-  CountMetric("runtime.run.count");
+  // Registry handles are stable for the process lifetime: cache them so a
+  // Run pays atomic adds, not a locked name lookup per metric.
+  static Counter* const run_count =
+      MetricsRegistry::Global().GetCounter("runtime.run.count");
+  static Counter* const plan_hits =
+      MetricsRegistry::Global().GetCounter("runtime.plan_cache.hit");
+  static Counter* const plan_misses =
+      MetricsRegistry::Global().GetCounter("runtime.plan_cache.miss");
+  static Histogram* const host_plan_hist =
+      MetricsRegistry::Global().GetHistogram("runtime.host_plan_us");
+  run_count->Increment();
 
   std::string signature;
   std::shared_ptr<const LaunchPlan> cached;
@@ -280,9 +407,9 @@ Result<RunResult> Executable::RunInternal(
   }
   const double host_plan_us = ElapsedUs(start);
   if (options.use_launch_plan_cache) {
-    CountMetric(hit ? "runtime.plan_cache.hit" : "runtime.plan_cache.miss");
+    (hit ? plan_hits : plan_misses)->Increment();
   }
-  ObserveMetric("runtime.host_plan_us", host_plan_us);
+  host_plan_hist->Observe(host_plan_us);
   if (run_scope.active()) {
     run_scope.AddArg("plan", options.use_launch_plan_cache
                                  ? (hit ? "hit" : "miss")
@@ -375,12 +502,12 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   }
 
   std::unordered_map<const Value*, int64_t> block_of;
+  size_t next_alloc = 0;  // steps consume plan.alloc_bytes in order
   for (size_t s = 0; s < steps_.size(); ++s) {
     const Step& step = steps_[s];
     const PlannedStep& ps = plan.steps[s];
-    size_t next_alloc = 0;
     auto allocate_value = [&](const Value* v) -> Status {
-      const int64_t bytes = ps.alloc_bytes[next_alloc++];
+      const int64_t bytes = plan.alloc_bytes[next_alloc++];
       // Values covered by a compile-time plan live in pre-allocated
       // memory: arena residents (constants included) at their offsets,
       // slot members in their slot's block. They never enter block_of, so
@@ -486,7 +613,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         profile.kernel_launches += 1;
         profile.bytes_read += stats.bytes_read;
         profile.bytes_written += stats.bytes_written;
-        profile.variant_counts[kernel.name() + "/" + variant.name] += 1;
+        profile.variant_counts[step.variant_keys[ps.variant_index]] += 1;
         if (cost.memory_bound) profile.memory_bound_launches += 1;
         if (profile_kernels) {
           KernelLaunchObservation obs;
@@ -542,14 +669,24 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   profile.alloc_rounding_waste = allocator.stats().bytes_rounding_waste;
   // The registry mirrors the per-run allocator counters so profile fields
   // and global metrics can never disagree (asserted in metrics_test).
-  CountMetric("runtime.alloc.calls", profile.alloc_calls);
-  CountMetric("runtime.alloc.cache_hits", profile.alloc_cache_hits);
-  CountMetric("runtime.alloc.bytes_rounding_waste",
-              profile.alloc_rounding_waste);
+  static Counter* const alloc_calls =
+      MetricsRegistry::Global().GetCounter("runtime.alloc.calls");
+  static Counter* const alloc_cache_hits =
+      MetricsRegistry::Global().GetCounter("runtime.alloc.cache_hits");
+  static Counter* const alloc_rounding_waste =
+      MetricsRegistry::Global().GetCounter(
+          "runtime.alloc.bytes_rounding_waste");
+  static Counter* const memory_bound =
+      MetricsRegistry::Global().GetCounter("runtime.kernel.memory_bound");
+  static Counter* const kernel_launches =
+      MetricsRegistry::Global().GetCounter("runtime.kernel.launches");
+  alloc_calls->Increment(profile.alloc_calls);
+  alloc_cache_hits->Increment(profile.alloc_cache_hits);
+  alloc_rounding_waste->Increment(profile.alloc_rounding_waste);
   // Same mirror discipline for the memory-bound verdict the device model
   // computes per launch (generated kernels and library calls both count).
-  CountMetric("runtime.kernel.memory_bound", profile.memory_bound_launches);
-  CountMetric("runtime.kernel.launches", profile.kernel_launches);
+  memory_bound->Increment(profile.memory_bound_launches);
+  kernel_launches->Increment(profile.kernel_launches);
 
   if (profile_kernels && !kernel_observations.empty()) {
     kernel_ledger.ObserveRun(this, signature, bindings,

@@ -1,16 +1,17 @@
 // The compiled artifact and its runtime.
 //
-// An Executable owns the optimized graph, the shape analysis (whose DimExprs
-// double as the host-side shape program), the fusion plan and the compiled
-// kernels. One compilation serves every input shape: each Run solves the
-// symbolic dims from the actual input shapes, evaluates every kernel's
-// guards to pick variants, computes launch dims, and executes — no
-// recompilation, mirroring the paper's compile-once design.
+// An Executable owns the optimized graph, the shape analysis, the fusion
+// plan, the compiled kernels and the host-side shape program lowered from
+// them (shape/shape_program.h). One compilation serves every input shape:
+// each Run solves the symbolic dims from the actual input shapes, evaluates
+// every kernel's guards to pick variants, computes launch dims, and
+// executes — no recompilation, mirroring the paper's compile-once design.
 //
 // Runs are split into two phases (see runtime/launch_plan.h):
 //   * plan build  — all host-side symbolic work (symbol solve, guard
 //     evaluation, launch geometry, library footprints, buffer sizes),
-//     a pure function of the input-shape signature;
+//     a pure function of the input-shape signature, computed by one pass
+//     over the shape program's instruction tape;
 //   * plan execute — cost-model charging, buffer lifetime simulation and
 //     (in data mode) numeric execution from a finished plan.
 // Plans are memoized per signature in a bounded thread-safe LRU, so
@@ -128,7 +129,8 @@ struct CompileReport {
   double compile_ms = 0.0;
   /// Wall-clock per pipeline phase, in pipeline order (graph-passes,
   /// shape-analysis, fusion-planning, kernel-compile, step-schedule,
-  /// buffer-assignment). Sums to ~compile_ms.
+  /// buffer-assignment, memory-planning, shape-program). Sums to
+  /// ~compile_ms.
   std::vector<std::pair<std::string, double>> phase_ms;
   int64_t num_nodes_before = 0;
   int64_t num_nodes_after = 0;
@@ -209,6 +211,22 @@ class Executable {
   /// makes a swapped-out executable safe to re-install later).
   void ClearPlanCache() const { plan_cache_.Clear(); }
 
+  /// \brief Phase 1 of a Run on a plan miss: all host-side symbolic work
+  /// for one signature, read off one evaluation of the shape program.
+  Result<LaunchPlan> BuildLaunchPlan(
+      const std::vector<std::vector<int64_t>>& input_dims) const;
+
+  /// \brief The same plan built by walking DimExpr trees
+  /// (ShapeAnalysis::BindInputs, Guard::Evaluate, ComputeStats): the oracle
+  /// the shape program is tested and benchmarked against. Runs never call
+  /// it. Equal to BuildLaunchPlan field by field, with the same Status, the
+  /// same `kernel.guard` failpoint hits, on every input.
+  Result<LaunchPlan> BuildLaunchPlanByTreeWalk(
+      const std::vector<std::vector<int64_t>>& input_dims) const;
+
+  /// \brief The compiled host-side shape program.
+  const ShapeProgram& shape_program() const { return shape_program_; }
+
   std::string ToString() const;
 
  private:
@@ -220,15 +238,19 @@ class Executable {
     Kind kind;
     const Node* node = nullptr;        // kConstant/kHost/kLibrary
     const FusedKernel* kernel = nullptr;  // kKernel
+    /// RunProfile::variant_counts key per variant ("<kernel>/<variant>").
+    std::vector<std::string> variant_keys;  // kKernel
+
+    // Where the shape program computes this step's plan entries.
+    std::vector<LoweredGuard> guards;           // kKernel, per variant
+    KernelStatsTerms<ShapeSlot> kernel_stats;   // kKernel
+    LoweredLibraryStats library_stats;          // kLibrary
+    size_t num_allocs = 0;  // this step's entries in alloc_bytes_
   };
 
   Result<RunResult> RunInternal(
       const std::vector<std::vector<int64_t>>& input_dims,
       const std::vector<Tensor>* inputs, const RunOptions& options) const;
-
-  /// Phase 1: all host-side symbolic work for one signature.
-  Result<LaunchPlan> BuildLaunchPlan(
-      const std::vector<std::vector<int64_t>>& input_dims) const;
 
   /// Phase 2: charge the cost model and (optionally) execute numerics from
   /// a finished plan. `record_host` (nullable) receives deep copies of the
@@ -245,6 +267,11 @@ class Executable {
   /// Computed once at compile time; both run phases consume it.
   void BuildReleaseSchedule();
 
+  /// Lowers every plan entry (the arena peak formula first, so
+  /// PredictPeakBytes runs a prefix of the tape) into shape_program_.
+  /// Runs last at compile time, once the memory plan is final.
+  Status BuildShapeProgram();
+
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<ShapeAnalysis> analysis_;
   FusionPlan plan_;
@@ -254,6 +281,11 @@ class Executable {
   bool has_host_steps_ = false;
   BufferAssignment buffer_plan_;
   MemoryPlan memory_plan_;
+  ShapeProgram shape_program_;
+  ShapeSlot arena_bytes_slot_ = -1;  // -1: no peak formula
+  size_t arena_bytes_end_ = 0;       // tape prefix computing it
+  std::vector<ShapeSlot> alloc_bytes_;  // parallel to LaunchPlan::alloc_bytes
+  std::vector<ShapeSlot> slot_bytes_;   // parallel to buffer_plan_.slot_bytes
   CompileReport report_;
   /// Signature -> launch plan. Logically a cache, hence mutable: Run stays
   /// const and the cache is internally synchronized.

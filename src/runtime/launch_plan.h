@@ -65,9 +65,6 @@ struct PlannedStep {
   KernelStats kernel_stats;
   /// Footprint of the vendor call (kLibrary steps).
   LibraryCallStats library_stats;
-  /// Concrete byte size per buffer this step allocates, in the same order
-  /// the step defines its outputs (the instantiated buffer plan).
-  std::vector<int64_t> alloc_bytes;
   /// Host shape-step results (kHost steps, recorded by data-mode runs).
   /// Deep copies: they never alias a caller-visible tensor.
   std::vector<Tensor> host_results;
@@ -78,6 +75,10 @@ struct PlannedStep {
 struct LaunchPlan {
   SymbolBindings bindings;
   std::vector<PlannedStep> steps;  // parallel to Executable's step schedule
+  /// Concrete byte size per buffer the steps allocate, in step order and
+  /// within a step in the order it defines its outputs (the instantiated
+  /// buffer plan). One flat array: a plan build allocates it once.
+  std::vector<int64_t> alloc_bytes;
   /// Concrete arena size: the symbolic peak-bytes formula evaluated for
   /// this signature (0 when the module has no device values). Memoized
   /// here so an arena-mode Run on a plan hit performs no size arithmetic

@@ -120,6 +120,11 @@ class DimExpr {
 
   size_t Hash() const { return std::hash<std::string>()(node_->key); }
 
+  /// \brief Address of the shared node: equal for copies of one expression,
+  /// so a cheap memo key while the expression is alive. Structurally equal
+  /// expressions built separately differ; compare ToString() for those.
+  const void* identity() const { return node_.get(); }
+
  private:
   explicit DimExpr(std::shared_ptr<const internal::DimExprNode> node)
       : node_(std::move(node)) {}

@@ -9,6 +9,7 @@
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "runtime/launch_plan.h"
+#include "support/failpoint.h"
 #include "support/rng.h"
 
 namespace disc {
@@ -234,6 +235,140 @@ TEST(LaunchPlanTest, ConcurrentRunsAreSafe) {
   EXPECT_EQ(stats.hits + stats.misses, 200);
   EXPECT_LE(stats.entries, 4);
   EXPECT_GT(stats.hits, 0);
+}
+
+TEST(LaunchPlanTest, ConcurrentPlanMissesShareOneShapeProgram) {
+  // Every Run below misses the cache, so 4 threads evaluate the one
+  // shape program concurrently; each plan must equal the tree walker's
+  // (computed up front, single-threaded).
+  auto exe = CompileModel();
+  exe->set_plan_cache_capacity(0);
+  std::vector<LaunchPlan> want;
+  for (int64_t batch = 1; batch <= 64; ++batch) {
+    auto plan = exe->BuildLaunchPlanByTreeWalk({{batch, 32}});
+    ASSERT_TRUE(plan.ok());
+    want.push_back(std::move(*plan));
+  }
+  std::atomic<int> mismatches{0};
+  auto worker = [&](int64_t first) {
+    for (int i = 0; i < 64; ++i) {
+      int64_t batch = 1 + (first + i) % 64;
+      auto plan = exe->BuildLaunchPlan({{batch, 32}});
+      const LaunchPlan& w = want[batch - 1];
+      if (!plan.ok() || plan->bindings != w.bindings ||
+          plan->alloc_bytes != w.alloc_bytes ||
+          plan->arena_bytes != w.arena_bytes) {
+        ++mismatches;
+      }
+      if (!exe->RunWithShapes({{batch, 32}}).ok()) ++mismatches;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) threads.emplace_back(worker, 16 * t);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// The `kernel.guard` failpoint (DESIGN.md §8) sits in guard evaluation,
+// which only a plan miss performs.
+class GuardFailpointTest : public ::testing::Test {
+ protected:
+  void TearDown() override { FailpointRegistry::Global().DisarmAll(); }
+
+  static int64_t Hits() {
+    for (const auto& info : FailpointRegistry::Global().Snapshot()) {
+      if (info.name == "kernel.guard") return info.hits;
+    }
+    return 0;
+  }
+  static int64_t Fires() {
+    return FailpointRegistry::Global().fires("kernel.guard");
+  }
+  static void Arm(const std::string& trigger) {
+    ASSERT_TRUE(FailpointRegistry::Global()
+                    .ArmFromSpec("kernel.guard=" + trigger)
+                    .ok());
+  }
+};
+
+TEST_F(GuardFailpointTest, OnceFailsExactlyTheNextPlanMissAndIsNotCached) {
+  auto exe = CompileModel();
+  ASSERT_TRUE(exe->RunWithShapes({{8, 32}}).ok());
+  Arm("once:code=data-loss");
+  auto failed = exe->RunWithShapes({{9, 32}});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(Fires(), 1);
+  // The failed signature was not published: running it again is another
+  // miss, and now succeeds.
+  LaunchPlanCache::Stats before = exe->plan_cache_stats();
+  EXPECT_EQ(before.entries, 1);
+  auto retried = exe->RunWithShapes({{9, 32}});
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_FALSE(retried->profile.launch_plan_hit);
+  EXPECT_EQ(exe->plan_cache_stats().misses, before.misses + 1);
+  EXPECT_EQ(Fires(), 1);
+}
+
+TEST_F(GuardFailpointTest, PlanHitsDoNotEvaluateGuards) {
+  auto exe = CompileModel();
+  ASSERT_TRUE(exe->RunWithShapes({{8, 32}}).ok());
+  Arm("always");
+  auto hit = exe->RunWithShapes({{8, 32}});
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(hit->profile.launch_plan_hit);
+  EXPECT_EQ(Hits(), 0);
+  EXPECT_FALSE(exe->RunWithShapes({{12, 32}}).ok());  // a miss does
+  EXPECT_EQ(Fires(), 1);
+}
+
+TEST_F(GuardFailpointTest, HitsMatchTheTreeWalkersGuardEvaluations) {
+  auto exe = CompileModel();
+  exe->set_plan_cache_capacity(0);
+  std::vector<std::vector<std::vector<int64_t>>> signatures;
+  std::vector<int64_t> evaluations;
+  for (int64_t batch = 1; batch <= 24; ++batch) {
+    signatures.push_back({{batch, 32}});
+    // Guard::Evaluate calls of one tree-walk plan build: per kernel the
+    // selection's (variant index + 1) plus the selected guard's re-check.
+    auto bindings = exe->analysis().BindInputs(signatures.back());
+    ASSERT_TRUE(bindings.ok());
+    int64_t calls = 0;
+    for (const auto& kernel : exe->kernels()) {
+      auto index = kernel->SelectVariantIndex(*bindings);
+      ASSERT_TRUE(index.ok());
+      calls += *index + 2;
+    }
+    evaluations.push_back(calls);
+  }
+  // Armed but never firing, the hits count evaluations exactly.
+  Arm("every:1000000");
+  for (size_t i = 0; i < signatures.size(); ++i) {
+    int64_t before = Hits();
+    ASSERT_TRUE(exe->BuildLaunchPlanByTreeWalk(signatures[i]).ok());
+    EXPECT_EQ(Hits() - before, evaluations[i]);
+    before = Hits();
+    ASSERT_TRUE(exe->RunWithShapes(signatures[i]).ok());
+    EXPECT_EQ(Hits() - before, evaluations[i]);
+  }
+  // Firing every N-th hit, the tape path fails the same Runs with the
+  // same status after the same number of fires as the tree walker.
+  for (int n : {2, 3, 5, 7}) {
+    Arm("every:" + std::to_string(n));
+    std::vector<StatusCode> tree_codes;
+    for (const auto& dims : signatures) {
+      tree_codes.push_back(
+          exe->BuildLaunchPlanByTreeWalk(dims).status().code());
+    }
+    const int64_t tree_fires = Fires();
+    EXPECT_GT(tree_fires, 0);
+    Arm("every:" + std::to_string(n));  // re-arming resets the counters
+    for (size_t i = 0; i < signatures.size(); ++i) {
+      auto run = exe->RunWithShapes(signatures[i]);
+      EXPECT_EQ(run.status().code(), tree_codes[i]) << "every:" << n;
+    }
+    EXPECT_EQ(Fires(), tree_fires) << "every:" << n;
+  }
 }
 
 }  // namespace
