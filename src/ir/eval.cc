@@ -28,19 +28,18 @@ int64_t LinearIndex(const std::vector<int64_t>& idx,
   return linear;
 }
 
-// Maps an output index to an operand's linear index under numpy broadcast
-// (right-aligned; operand dims of size 1 have stride 0).
-int64_t BroadcastOperandIndex(const std::vector<int64_t>& out_idx,
-                              const Tensor& operand) {
+// Strides of `operand` over the dims of a rank-`out_rank` output under
+// numpy broadcast (right-aligned; size-1 and missing dims get stride 0), so
+// LinearIndex(out_idx, strides) is the operand's linear index.
+std::vector<int64_t> BroadcastStrides(const Tensor& operand, size_t out_rank) {
+  std::vector<int64_t> out(out_rank, 0);
   const auto& dims = operand.dims();
   auto strides = operand.Strides();
-  int64_t offset = static_cast<int64_t>(out_idx.size()) - operand.rank();
-  int64_t linear = 0;
-  for (int64_t i = 0; i < operand.rank(); ++i) {
-    int64_t id = dims[i] == 1 ? 0 : out_idx[offset + i];
-    linear += id * strides[i];
+  int64_t offset = static_cast<int64_t>(out_rank) - operand.rank();
+  for (int64_t i = std::max<int64_t>(0, -offset); i < operand.rank(); ++i) {
+    out[offset + i] = dims[i] == 1 ? 0 : strides[i];
   }
-  return linear;
+  return out;
 }
 
 Status InvalidOp(const Node& node, const std::string& msg) {
@@ -71,23 +70,24 @@ Result<Tensor> EvalElementwise(const Node& node,
 
   std::vector<int64_t> idx(out_dims.size(), 0);
   auto out_strides = out.Strides();
+  std::vector<std::vector<int64_t>> in_strides;
+  for (const Tensor& in : inputs) {
+    in_strides.push_back(BroadcastStrides(in, out_dims.size()));
+  }
   do {
     int64_t out_linear = LinearIndex(idx, out_strides);
     if (node.kind() == OpKind::kSelect) {
-      double pred = inputs[0].ElementAsDouble(
-          BroadcastOperandIndex(idx, inputs[0]));
-      const Tensor& chosen = pred != 0.0 ? inputs[1] : inputs[2];
-      out.SetElementFromDouble(out_linear, chosen.ElementAsDouble(
-                                               BroadcastOperandIndex(idx, chosen)));
+      double pred = inputs[0].ElementAsDouble(LinearIndex(idx, in_strides[0]));
+      const int chosen = pred != 0.0 ? 1 : 2;
+      out.SetElementFromDouble(
+          out_linear,
+          inputs[chosen].ElementAsDouble(LinearIndex(idx, in_strides[chosen])));
     } else if (inputs.size() == 1) {
-      double x =
-          inputs[0].ElementAsDouble(BroadcastOperandIndex(idx, inputs[0]));
+      double x = inputs[0].ElementAsDouble(LinearIndex(idx, in_strides[0]));
       out.SetElementFromDouble(out_linear, ApplyUnaryScalar(node.kind(), x));
     } else {
-      double a =
-          inputs[0].ElementAsDouble(BroadcastOperandIndex(idx, inputs[0]));
-      double b =
-          inputs[1].ElementAsDouble(BroadcastOperandIndex(idx, inputs[1]));
+      double a = inputs[0].ElementAsDouble(LinearIndex(idx, in_strides[0]));
+      double b = inputs[1].ElementAsDouble(LinearIndex(idx, in_strides[1]));
       out.SetElementFromDouble(
           out_linear, ApplyBinaryScalar(node.kind(), a, b, inputs[0].dtype()));
     }
@@ -135,19 +135,19 @@ Result<Tensor> EvalReduce(const Node& node, const Tensor& in) {
   }
 
   if (in.num_elements() > 0) {
+    // Per input dim: its stride in the output (0 where reduced).
+    std::vector<int64_t> out_stride_of(in.rank(), 0);
+    for (int64_t i = 0, pos = 0; i < in.rank(); ++i) {
+      if (!reduced[i] || keep) {
+        if (!reduced[i]) out_stride_of[i] = out_strides[pos];
+        ++pos;
+      }
+    }
+    auto in_strides = in.Strides();
     std::vector<int64_t> idx(in.rank(), 0);
     do {
-      // Output index: drop (or zero) reduced dims.
-      std::vector<int64_t> out_idx;
-      for (int64_t i = 0; i < in.rank(); ++i) {
-        if (reduced[i]) {
-          if (keep) out_idx.push_back(0);
-        } else {
-          out_idx.push_back(idx[i]);
-        }
-      }
-      int64_t out_linear = LinearIndex(out_idx, out_strides);
-      double v = in.ElementAsDouble(LinearIndex(idx, in.Strides()));
+      int64_t out_linear = LinearIndex(idx, out_stride_of);
+      double v = in.ElementAsDouble(LinearIndex(idx, in_strides));
       switch (node.kind()) {
         case OpKind::kReduceSum:
         case OpKind::kReduceMean:
@@ -196,16 +196,17 @@ Result<Tensor> EvalMatMul(const Node& node, const Tensor& a, const Tensor& b) {
   Tensor out(a.dtype(), out_dims);
 
   int64_t batch_count = Product(batch);
+  const auto a_strides = a.Strides();
+  const auto b_strides = b.Strides();
   // Per-batch base offsets with broadcast over batch dims.
-  auto batch_offset = [&](const Tensor& t,
+  auto batch_offset = [&](const Tensor& t, const std::vector<int64_t>& strides,
                           const std::vector<int64_t>& batch_idx) {
     int64_t batch_rank = t.rank() - 2;
     int64_t align = static_cast<int64_t>(batch_idx.size()) - batch_rank;
-    auto full_strides = t.Strides();
     int64_t offset = 0;
     for (int64_t i = 0; i < batch_rank; ++i) {
       int64_t id = t.dims()[i] == 1 ? 0 : batch_idx[align + i];
-      offset += id * full_strides[i];
+      offset += id * strides[i];
     }
     return offset;
   };
@@ -213,31 +214,42 @@ Result<Tensor> EvalMatMul(const Node& node, const Tensor& a, const Tensor& b) {
   const float* fa = a.dtype() == DType::kF32 ? a.f32_data() : nullptr;
   const float* fb = b.dtype() == DType::kF32 ? b.f32_data() : nullptr;
   float* fo = out.dtype() == DType::kF32 ? out.f32_data() : nullptr;
+  const int64_t lda = a.dims()[ra - 1];
+  const int64_t ldb = b.dims()[rb - 1];
 
+  // i-k-j order: row i of the output accumulates in `acc`, one a[i, kk]
+  // times row kk of b at a time. Each output element still sums its k
+  // products in increasing kk from 0.0, so the result is the same as the
+  // dot-product order's, bit for bit.
+  std::vector<double> acc(n);
+  // b of one batch widened to double: k rows of n, contiguous in j.
+  std::vector<double> wide_b(k * n);
   std::vector<int64_t> batch_idx(batch.size(), 0);
   for (int64_t bi = 0; bi < batch_count; ++bi) {
-    int64_t oa = batch_offset(a, batch_idx);
-    int64_t ob = batch_offset(b, batch_idx);
-    int64_t oo = bi * m * n;
-    int64_t lda = a.dims()[ra - 1];
-    int64_t ldb = b.dims()[rb - 1];
-    for (int64_t i = 0; i < m; ++i) {
+    const int64_t oa = batch_offset(a, a_strides, batch_idx);
+    const int64_t ob = batch_offset(b, b_strides, batch_idx);
+    const int64_t oo = bi * m * n;
+    for (int64_t kk = 0; kk < k; ++kk) {
       for (int64_t j = 0; j < n; ++j) {
-        double sum = 0.0;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          int64_t ia = ta ? (kk * lda + i) : (i * lda + kk);
-          int64_t ib = tb ? (j * ldb + kk) : (kk * ldb + j);
-          if (fa != nullptr) {
-            sum += static_cast<double>(fa[oa + ia]) *
-                   static_cast<double>(fb[ob + ib]);
-          } else {
-            sum += a.ElementAsDouble(oa + ia) * b.ElementAsDouble(ob + ib);
-          }
-        }
+        const int64_t ib = ob + (tb ? (j * ldb + kk) : (kk * ldb + j));
+        wide_b[kk * n + j] = fb != nullptr ? static_cast<double>(fb[ib])
+                                           : b.ElementAsDouble(ib);
+      }
+    }
+    for (int64_t i = 0; i < m; ++i) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const int64_t ia = oa + (ta ? (kk * lda + i) : (i * lda + kk));
+        const double av = fa != nullptr ? static_cast<double>(fa[ia])
+                                        : a.ElementAsDouble(ia);
+        const double* row = wide_b.data() + kk * n;
+        for (int64_t j = 0; j < n; ++j) acc[j] += av * row[j];
+      }
+      for (int64_t j = 0; j < n; ++j) {
         if (fo != nullptr) {
-          fo[oo + i * n + j] = static_cast<float>(sum);
+          fo[oo + i * n + j] = static_cast<float>(acc[j]);
         } else {
-          out.SetElementFromDouble(oo + i * n + j, sum);
+          out.SetElementFromDouble(oo + i * n + j, acc[j]);
         }
       }
     }
@@ -263,27 +275,31 @@ Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
   const float* src = in.f32_data();
   const float* flt = filter.f32_data();
   float* dst = out.f32_data();
+  // `co` innermost: one output pixel's channels accumulate together, in the
+  // same (ky, kx, ci) order per channel as a per-channel dot product.
+  std::vector<double> acc(oc);
   for (int64_t ni = 0; ni < n; ++ni) {
     for (int64_t yo = 0; yo < oh; ++yo) {
       for (int64_t xo = 0; xo < ow; ++xo) {
-        for (int64_t co = 0; co < oc; ++co) {
-          double sum = 0.0;
-          for (int64_t ky = 0; ky < kh; ++ky) {
-            int64_t yi = yo * sh - ph + ky;
-            if (yi < 0 || yi >= h) continue;
-            for (int64_t kx = 0; kx < kw; ++kx) {
-              int64_t xi = xo * sw - pw + kx;
-              if (xi < 0 || xi >= w) continue;
-              for (int64_t ci = 0; ci < c; ++ci) {
-                sum += static_cast<double>(
-                           src[((ni * h + yi) * w + xi) * c + ci]) *
-                       static_cast<double>(
-                           flt[((ky * kw + kx) * c + ci) * oc + co]);
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (int64_t ky = 0; ky < kh; ++ky) {
+          int64_t yi = yo * sh - ph + ky;
+          if (yi < 0 || yi >= h) continue;
+          for (int64_t kx = 0; kx < kw; ++kx) {
+            int64_t xi = xo * sw - pw + kx;
+            if (xi < 0 || xi >= w) continue;
+            for (int64_t ci = 0; ci < c; ++ci) {
+              const double x =
+                  static_cast<double>(src[((ni * h + yi) * w + xi) * c + ci]);
+              const float* f = flt + ((ky * kw + kx) * c + ci) * oc;
+              for (int64_t co = 0; co < oc; ++co) {
+                acc[co] += x * static_cast<double>(f[co]);
               }
             }
           }
-          dst[((ni * oh + yo) * ow + xo) * oc + co] = static_cast<float>(sum);
         }
+        float* o = dst + ((ni * oh + yo) * ow + xo) * oc;
+        for (int64_t co = 0; co < oc; ++co) o[co] = static_cast<float>(acc[co]);
       }
     }
   }
@@ -294,38 +310,11 @@ Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
 
 double ApplyUnaryScalar(OpKind kind, double x) {
   switch (kind) {
-    case OpKind::kAbs:
-      return std::abs(x);
-    case OpKind::kNeg:
-      return -x;
-    case OpKind::kExp:
-      return std::exp(x);
-    case OpKind::kLog:
-      return std::log(x);
-    case OpKind::kSqrt:
-      return std::sqrt(x);
-    case OpKind::kRsqrt:
-      return 1.0 / std::sqrt(x);
-    case OpKind::kTanh:
-      return std::tanh(x);
-    case OpKind::kErf:
-      return std::erf(x);
-    case OpKind::kSigmoid:
-      return 1.0 / (1.0 + std::exp(-x));
-    case OpKind::kRelu:
-      return x > 0.0 ? x : 0.0;
-    case OpKind::kFloor:
-      return std::floor(x);
-    case OpKind::kCeil:
-      return std::ceil(x);
-    case OpKind::kSign:
-      return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0);
-    case OpKind::kReciprocal:
-      return 1.0 / x;
-    case OpKind::kLogicalNot:
-      return x == 0.0 ? 1.0 : 0.0;
-    case OpKind::kCast:
-      return x;  // dtype conversion handled by SetElementFromDouble
+#define DISC_CASE(K) \
+  case OpKind::K:    \
+    return UnaryScalar<OpKind::K>(x);
+    DISC_UNARY_SCALAR_OPS(DISC_CASE)
+#undef DISC_CASE
     default:
       DISC_UNREACHABLE(OpName(kind));
       return 0.0;
@@ -333,48 +322,13 @@ double ApplyUnaryScalar(OpKind kind, double x) {
 }
 
 double ApplyBinaryScalar(OpKind kind, double a, double b, DType dtype) {
-  bool integral = IsIntegral(dtype);
+  const bool integral = IsIntegral(dtype);
   switch (kind) {
-    case OpKind::kAdd:
-      return a + b;
-    case OpKind::kSub:
-      return a - b;
-    case OpKind::kMul:
-      return a * b;
-    case OpKind::kDiv:
-      if (integral) {
-        return static_cast<double>(static_cast<int64_t>(a) /
-                                   static_cast<int64_t>(b));
-      }
-      return a / b;
-    case OpKind::kPow:
-      return std::pow(a, b);
-    case OpKind::kMaximum:
-      return std::max(a, b);
-    case OpKind::kMinimum:
-      return std::min(a, b);
-    case OpKind::kMod:
-      if (integral) {
-        return static_cast<double>(static_cast<int64_t>(a) %
-                                   static_cast<int64_t>(b));
-      }
-      return std::fmod(a, b);
-    case OpKind::kLess:
-      return a < b ? 1.0 : 0.0;
-    case OpKind::kLessEqual:
-      return a <= b ? 1.0 : 0.0;
-    case OpKind::kGreater:
-      return a > b ? 1.0 : 0.0;
-    case OpKind::kGreaterEqual:
-      return a >= b ? 1.0 : 0.0;
-    case OpKind::kEqual:
-      return a == b ? 1.0 : 0.0;
-    case OpKind::kNotEqual:
-      return a != b ? 1.0 : 0.0;
-    case OpKind::kAnd:
-      return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
-    case OpKind::kOr:
-      return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
+#define DISC_CASE(K) \
+  case OpKind::K:    \
+    return BinaryScalar<OpKind::K>(a, b, integral);
+    DISC_BINARY_SCALAR_OPS(DISC_CASE)
+#undef DISC_CASE
     default:
       DISC_UNREACHABLE(OpName(kind));
       return 0.0;
@@ -514,10 +468,11 @@ Result<std::vector<Tensor>> EvaluateNode(const Node& node,
       if (out.num_elements() > 0) {
         std::vector<int64_t> idx(target.size(), 0);
         auto strides = out.Strides();
+        auto in_strides = BroadcastStrides(in, target.size());
         do {
           out.SetElementFromDouble(
               LinearIndex(idx, strides),
-              in.ElementAsDouble(BroadcastOperandIndex(idx, in)));
+              in.ElementAsDouble(LinearIndex(idx, in_strides)));
         } while (NextIndex(target, &idx));
       }
       return single(std::move(out));

@@ -1,6 +1,7 @@
 #include "ir/tensor.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace disc {
@@ -106,8 +107,17 @@ double Tensor::MaxAbsDiff(const Tensor& a, const Tensor& b) {
   DISC_CHECK(a.dims() == b.dims());
   double max_diff = 0.0;
   for (int64_t i = 0; i < a.num_elements(); ++i) {
-    max_diff = std::max(max_diff,
-                        std::abs(a.ElementAsDouble(i) - b.ElementAsDouble(i)));
+    const double av = a.ElementAsDouble(i);
+    const double bv = b.ElementAsDouble(i);
+    if (std::isnan(av) || std::isnan(bv)) {
+      if (std::isnan(av) != std::isnan(bv)) {
+        return std::numeric_limits<double>::infinity();
+      }
+      continue;  // NaN on both sides agrees
+    }
+    // Equal infinities subtract to NaN, which the comparison skips.
+    const double diff = std::abs(av - bv);
+    if (diff > max_diff) max_diff = diff;
   }
   return max_diff;
 }

@@ -79,6 +79,8 @@ class Tensor {
   std::string ToString(int64_t max_elements = 16) const;
 
   /// \brief Max |a-b| over elements; tensors must match in type and dims.
+  /// NaN on one side only is +inf; NaN on both sides (or equal infinities)
+  /// counts as no difference.
   static double MaxAbsDiff(const Tensor& a, const Tensor& b);
   /// \brief True when shapes/dtypes match and values agree within atol+rtol.
   static bool AllClose(const Tensor& a, const Tensor& b, double rtol = 1e-4,

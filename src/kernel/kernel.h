@@ -5,10 +5,12 @@
 //     until the runtime binds them — "codegen supporting arbitrary shapes"),
 //   * several specialization variants with runtime guards
 //     (see specialize.cc), and
-//   * a CPU execution path used for correctness: a per-element expression
-//     evaluator over the fused subgraph. Reduction results are memoized per
-//     row during execution — the in-memory analog of the shared-memory
-//     staging a kStitch kernel performs on a real GPU.
+//   * a CPU execution path that really computes the numbers: a loop
+//     program (execute.cc), built once on the kernel's first execution,
+//     that runs each member as a whole-tensor loop nest over its launch
+//     domain, members in topological order. Each reduction is computed
+//     once per call and read by every consumer — the in-memory analog of
+//     the shared-memory staging a kStitch kernel performs on a real GPU.
 //
 // Performance is measured by the device model (disc::sim) from the
 // KernelStats this class computes per (bindings, variant): global-memory
@@ -18,6 +20,8 @@
 #ifndef DISC_KERNEL_KERNEL_H_
 #define DISC_KERNEL_KERNEL_H_
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -112,8 +116,12 @@ struct SpecializeOptions {
   int64_t warp_min_rows = 1024;
 };
 
+class LoopProgram;
+
 /// \brief A fused kernel compiled from one FusionGroup. The group's Nodes
-/// and Values must outlive the kernel (the compiler owns the graph).
+/// and Values must outlive the kernel (the compiler owns the graph). The
+/// group's members and outputs must be in topological order, as
+/// FusionPlanner emits them.
 class FusedKernel {
  public:
   FusedKernel(FusionGroup group, const ShapeAnalysis* analysis,
@@ -139,7 +147,10 @@ class FusedKernel {
                                  const ShapeValues& values) const;
 
   /// \brief Executes the kernel on the CPU: reads group inputs from `env`,
-  /// inserts the group outputs. Variant choice never changes numerics.
+  /// inserts the group outputs. Variant choice never changes numerics. A
+  /// gather index out of bounds (or an integral division by zero) that a
+  /// group output depends on fails with InvalidArgument; the outputs
+  /// before the failing one are inserted. Safe to call concurrently.
   Status Execute(const SymbolBindings& bindings,
                  std::unordered_map<const Value*, Tensor>* env) const;
 
@@ -202,6 +213,10 @@ class FusedKernel {
   DimExpr root_elements_;  // symbolic launch domain size
   bool miscompiled_ = false;       // injected: perturbs one output element
   bool guard_mispredict_ = false;  // injected: always dispatches variant 0
+  // The CPU execution path, built by the first Execute: compiles that only
+  // run timing-mode never pay for it.
+  mutable std::once_flag program_once_;
+  mutable std::shared_ptr<const LoopProgram> program_;
 };
 
 /// \brief Per-element arithmetic cost of an op (relative to one FMA).

@@ -26,258 +26,10 @@
 #include "shape/shape_analysis.h"
 #include "support/failpoint.h"
 #include "support/rng.h"
+#include "random_graph.h"
 
 namespace disc {
 namespace {
-
-struct GenValue {
-  Value* value;
-  std::vector<std::string> spec;  // symbol name or decimal constant per dim
-};
-
-class GraphGenerator {
- public:
-  explicit GraphGenerator(uint64_t seed) : rng_(seed) {}
-
-  // Returns dim labels parallel to inputs.
-  std::vector<std::vector<std::string>> Build(Graph* graph, int num_ops) {
-    GraphBuilder b(graph);
-    std::vector<std::vector<std::string>> labels;
-
-    // 1-3 inputs over the symbols B, S and constants.
-    int num_inputs = static_cast<int>(rng_.UniformInt(1, 3));
-    for (int i = 0; i < num_inputs; ++i) {
-      std::vector<std::string> spec;
-      int rank = static_cast<int>(rng_.UniformInt(1, 3));
-      for (int d = 0; d < rank; ++d) {
-        switch (rng_.UniformInt(0, 3)) {
-          case 0:
-            spec.push_back("B");
-            break;
-          case 1:
-            spec.push_back("S");
-            break;
-          default:
-            spec.push_back(std::to_string(rng_.UniformInt(2, 6)));
-        }
-      }
-      std::vector<int64_t> declared;
-      std::vector<std::string> label;
-      for (const std::string& s : spec) {
-        if (IsConst(s)) {
-          declared.push_back(std::stoll(s));
-          label.push_back("");
-        } else {
-          declared.push_back(kDynamicDim);
-          label.push_back(s);
-        }
-      }
-      labels.push_back(label);
-      Value* v = b.Input("in" + std::to_string(i), DType::kF32, declared);
-      pool_.push_back({v, spec});
-    }
-
-    for (int i = 0; i < num_ops; ++i) AddRandomOp(&b);
-
-    // Outputs: up to 2 of the most recent values.
-    std::vector<Value*> outputs = {pool_.back().value};
-    if (pool_.size() >= 2 && rng_.UniformInt(0, 1) == 1) {
-      outputs.push_back(pool_[pool_.size() - 2].value);
-    }
-    b.Output(outputs);
-    return labels;
-  }
-
-  // Concrete input tensors for a given symbol assignment.
-  std::vector<Tensor> MakeInputs(const Graph& graph,
-                                 const std::map<std::string, int64_t>& syms,
-                                 uint64_t seed) {
-    Rng data_rng(seed);
-    std::vector<Tensor> inputs;
-    for (size_t i = 0; i < graph.inputs().size(); ++i) {
-      const auto& spec = pool_[i].spec;
-      std::vector<int64_t> dims;
-      for (const std::string& s : spec) {
-        dims.push_back(IsConst(s) ? std::stoll(s) : syms.at(s));
-      }
-      Tensor t(DType::kF32, dims);
-      for (int64_t e = 0; e < t.num_elements(); ++e) {
-        t.f32_data()[e] = data_rng.Normal();
-      }
-      inputs.push_back(std::move(t));
-    }
-    return inputs;
-  }
-
- private:
-  static bool IsConst(const std::string& s) {
-    return !s.empty() && std::isdigit(static_cast<unsigned char>(s[0]));
-  }
-
-  GenValue& Pick() {
-    return pool_[rng_.UniformInt(0, static_cast<int64_t>(pool_.size()) - 1)];
-  }
-
-  void AddRandomOp(GraphBuilder* b) {
-    switch (rng_.UniformInt(0, 11)) {
-      case 0: {  // unary
-        GenValue& x = Pick();
-        static const OpKind kUnary[] = {OpKind::kAbs, OpKind::kNeg,
-                                        OpKind::kTanh, OpKind::kSigmoid,
-                                        OpKind::kRelu, OpKind::kExp};
-        OpKind kind = kUnary[rng_.UniformInt(0, 5)];
-        pool_.push_back({b->Unary(kind, x.value), x.spec});
-        break;
-      }
-      case 1: {  // binary with an identical-spec partner, if any
-        GenValue& x = Pick();
-        std::vector<GenValue*> same;
-        for (GenValue& other : pool_) {
-          if (other.spec == x.spec) same.push_back(&other);
-        }
-        GenValue& y = *same[rng_.UniformInt(
-            0, static_cast<int64_t>(same.size()) - 1)];
-        static const OpKind kBinary[] = {OpKind::kAdd, OpKind::kSub,
-                                         OpKind::kMul, OpKind::kMaximum,
-                                         OpKind::kMinimum};
-        OpKind kind = kBinary[rng_.UniformInt(0, 4)];
-        pool_.push_back({b->Binary(kind, x.value, y.value), x.spec});
-        break;
-      }
-      case 2: {  // binary with scalar
-        GenValue& x = Pick();
-        Value* c = b->ScalarF32(static_cast<float>(rng_.Uniform(-2, 2)));
-        pool_.push_back({b->Add(x.value, c), x.spec});
-        break;
-      }
-      case 3: {  // reduce over a random axis
-        GenValue& x = Pick();
-        if (x.spec.empty()) break;
-        int64_t axis =
-            rng_.UniformInt(0, static_cast<int64_t>(x.spec.size()) - 1);
-        bool keep = rng_.UniformInt(0, 1) == 1;
-        static const OpKind kReduce[] = {OpKind::kReduceSum,
-                                         OpKind::kReduceMax,
-                                         OpKind::kReduceMean};
-        OpKind kind = kReduce[rng_.UniformInt(0, 2)];
-        std::vector<std::string> spec;
-        for (size_t d = 0; d < x.spec.size(); ++d) {
-          if (static_cast<int64_t>(d) == axis) {
-            if (keep) spec.push_back("1");
-          } else {
-            spec.push_back(x.spec[d]);
-          }
-        }
-        pool_.push_back({b->Reduce(kind, x.value, {axis}, keep), spec});
-        break;
-      }
-      case 4: {  // transpose with a random permutation
-        GenValue& x = Pick();
-        if (x.spec.size() < 2) break;
-        std::vector<int64_t> perm(x.spec.size());
-        for (size_t d = 0; d < perm.size(); ++d) {
-          perm[d] = static_cast<int64_t>(d);
-        }
-        std::shuffle(perm.begin(), perm.end(), rng_.engine());
-        std::vector<std::string> spec(x.spec.size());
-        for (size_t d = 0; d < perm.size(); ++d) spec[d] = x.spec[perm[d]];
-        pool_.push_back({b->Transpose(x.value, perm), spec});
-        break;
-      }
-      case 5: {  // flatten everything to 1-D via dynamic reshape
-        GenValue& x = Pick();
-        if (x.spec.size() < 2) break;
-        Value* flat = b->Reshape(x.value, {-1});
-        std::string merged;
-        for (const std::string& s : x.spec) merged += s + "*";
-        pool_.push_back({flat, {merged}});
-        break;
-      }
-      case 6: {  // reshape back to a producer's shape via shape_of
-        GenValue& x = Pick();
-        // Find a value with the same element count: itself (round trip).
-        Value* flat = b->Reshape(x.value, {-1});
-        Value* back = b->ReshapeDynamic(flat, b->ShapeOf(x.value));
-        pool_.push_back({back, x.spec});
-        break;
-      }
-      case 7: {  // slice a static axis in half
-        GenValue& x = Pick();
-        int static_axis = -1;
-        for (size_t d = 0; d < x.spec.size(); ++d) {
-          if (IsConst(x.spec[d]) && std::stoll(x.spec[d]) >= 2) {
-            static_axis = static_cast<int>(d);
-          }
-        }
-        if (static_axis < 0) break;
-        int64_t extent = std::stoll(x.spec[static_axis]);
-        std::vector<int64_t> starts(x.spec.size(), 0);
-        std::vector<int64_t> ends(x.spec.size(), -1);
-        std::vector<int64_t> steps(x.spec.size(), 1);
-        ends[static_axis] = extent / 2;
-        std::vector<std::string> spec = x.spec;
-        spec[static_axis] = std::to_string(extent / 2);
-        pool_.push_back({b->Slice(x.value, starts, ends, steps), spec});
-        break;
-      }
-      case 8: {  // pad a static axis
-        GenValue& x = Pick();
-        int static_axis = -1;
-        for (size_t d = 0; d < x.spec.size(); ++d) {
-          if (IsConst(x.spec[d])) static_axis = static_cast<int>(d);
-        }
-        if (static_axis < 0) break;
-        std::vector<int64_t> low(x.spec.size(), 0);
-        std::vector<int64_t> high(x.spec.size(), 0);
-        low[static_axis] = 1;
-        high[static_axis] = 1;
-        std::vector<std::string> spec = x.spec;
-        spec[static_axis] =
-            std::to_string(std::stoll(x.spec[static_axis]) + 2);
-        pool_.push_back({b->Pad(x.value, low, high, 0.5), spec});
-        break;
-      }
-      case 10: {  // gather rows by a constant index tensor on a static axis
-        GenValue& x = Pick();
-        if (x.spec.empty() || !IsConst(x.spec[0])) break;
-        int64_t extent = std::stoll(x.spec[0]);
-        int64_t n = rng_.UniformInt(1, 4);
-        std::vector<int64_t> ids;
-        for (int64_t i = 0; i < n; ++i) ids.push_back(rng_.UniformInt(0, extent - 1));
-        Value* idx = b->Constant(Tensor::I64({n}, ids));
-        std::vector<std::string> spec = x.spec;
-        spec[0] = std::to_string(n);
-        pool_.push_back({b->Gather(x.value, idx, 0), spec});
-        break;
-      }
-      case 11: {  // broadcast a scalar to a value's (dynamic) shape
-        GenValue& x = Pick();
-        if (x.spec.empty()) break;
-        Value* scalar = b->ScalarF32(static_cast<float>(rng_.Uniform(-1, 1)));
-        Value* bc = b->BroadcastToDynamic(scalar, b->ShapeOf(x.value));
-        pool_.push_back({b->Add(x.value, bc), x.spec});
-        break;
-      }
-      case 9: {  // concat a value with itself along a static axis
-        GenValue& x = Pick();
-        int static_axis = -1;
-        for (size_t d = 0; d < x.spec.size(); ++d) {
-          if (IsConst(x.spec[d])) static_axis = static_cast<int>(d);
-        }
-        if (static_axis < 0) break;
-        std::vector<std::string> spec = x.spec;
-        spec[static_axis] =
-            std::to_string(2 * std::stoll(x.spec[static_axis]));
-        pool_.push_back(
-            {b->Concat({x.value, x.value}, static_axis), spec});
-        break;
-      }
-    }
-  }
-
-  Rng rng_;
-  std::vector<GenValue> pool_;
-};
 
 // --- tape vs tree-walk launch plans ---------------------------------------
 

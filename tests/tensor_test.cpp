@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace disc {
 namespace {
@@ -80,6 +81,25 @@ TEST(TensorTest, MaxAbsDiff) {
   Tensor a = Tensor::F32({2}, {1, 2});
   Tensor b = Tensor::F32({2}, {1.5, 2});
   EXPECT_DOUBLE_EQ(Tensor::MaxAbsDiff(a, b), 0.5);
+
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // NaN on one side is an infinite difference, whichever side and however
+  // small the other elements' differences.
+  Tensor one_nan = Tensor::F32({2}, {nan, 2});
+  EXPECT_EQ(Tensor::MaxAbsDiff(one_nan, a),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Tensor::MaxAbsDiff(a, one_nan),
+            std::numeric_limits<double>::infinity());
+  // NaN on both sides agrees; the other elements still count.
+  Tensor both_nan = Tensor::F32({2}, {nan, 2.25f});
+  EXPECT_DOUBLE_EQ(Tensor::MaxAbsDiff(one_nan, both_nan), 0.25);
+  EXPECT_EQ(Tensor::MaxAbsDiff(one_nan, one_nan), 0.0);
+  // Equal infinities agree; opposite ones do not.
+  Tensor pos_inf = Tensor::F32({2}, {inf, 2});
+  EXPECT_EQ(Tensor::MaxAbsDiff(pos_inf, pos_inf), 0.0);
+  EXPECT_EQ(Tensor::MaxAbsDiff(pos_inf, Tensor::F32({2}, {-inf, 2})),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(TensorTest, AllCloseExactAndTolerance) {
