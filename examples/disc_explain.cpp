@@ -47,8 +47,8 @@
 #include "compile_service/compile_service.h"
 #include "compile_service/shadow_validate.h"
 #include "compiler/compiler.h"
-#include "decode/decode_replay.h"
 #include "decode/decode_scheduler.h"
+#include "decode_demo.h"
 #include "ir/builder.h"
 #include "models/models.h"
 #include "support/artifact_dump.h"
@@ -393,23 +393,7 @@ int ShowDecodeTimeline(const std::string& path) {
     std::printf("no dump at %s — running a synthetic decode replay to "
                 "produce one\n\n",
                 path.c_str());
-    ModelConfig config;
-    config.hidden = 32;
-    config.trace_length = 4;
-    Model model = BuildGptStepBatch(config);
-    DynamicCompilerEngine engine(DynamicProfile::Disc());
-    if (!engine.Prepare(*model.graph, model.input_dim_labels).ok()) {
-      std::fprintf(stderr, "decode engine setup failed\n");
-      return 1;
-    }
-    DecodeOptions options;
-    options.max_batch = 8;
-    options.kv.capacity_blocks = 96;
-    options.kv.block_tokens = 16;
-    options.kv.bytes_per_token = 2 * config.hidden * sizeof(float);
-    auto stats = SimulateDecode(&engine, GptStepBatchShapeFn(config.hidden),
-                                SyntheticDecodeStream(48, 40.0, 11), options,
-                                DeviceSpec::A10());
+    auto stats = RunDecodeDemoReplay();
     if (!stats.ok()) {
       std::fprintf(stderr, "decode replay failed: %s\n",
                    stats.status().ToString().c_str());

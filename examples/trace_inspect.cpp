@@ -45,8 +45,8 @@
 #include "baselines/fallback_chain.h"
 #include "baselines/interpreter_engine.h"
 #include "compiler/compiler.h"
-#include "decode/decode_replay.h"
 #include "decode/decode_scheduler.h"
+#include "decode_demo.h"
 #include "ir/builder.h"
 #include "models/models.h"
 #include "serving/serving.h"
@@ -67,23 +67,7 @@ using namespace disc;
 // exercised on a freshly written file.
 static int RunDecodeDemo(const char* out_path) {
   TraceSession& session = TraceSession::Global();
-  ModelConfig config;
-  config.hidden = 32;
-  config.trace_length = 4;
-  Model model = BuildGptStepBatch(config);
-  DynamicCompilerEngine engine(DynamicProfile::Disc());
-  if (!engine.Prepare(*model.graph, model.input_dim_labels).ok()) {
-    std::fprintf(stderr, "decode engine setup failed\n");
-    return 1;
-  }
-  DecodeOptions options;
-  options.max_batch = 8;
-  options.kv.capacity_blocks = 96;
-  options.kv.block_tokens = 16;
-  options.kv.bytes_per_token = 2 * config.hidden * sizeof(float);
-  auto requests = SyntheticDecodeStream(48, 40.0, 11);
-  auto stats = SimulateDecode(&engine, GptStepBatchShapeFn(config.hidden),
-                              requests, options, DeviceSpec::A10());
+  auto stats = RunDecodeDemoReplay();
   if (!stats.ok()) {
     std::fprintf(stderr, "decode replay failed: %s\n",
                  stats.status().ToString().c_str());

@@ -33,6 +33,42 @@ Tensor ExtractProbRow(const Tensor& t, int64_t batch) {
   return out;
 }
 
+/// Token embedding for step `t` of the sequence seeded `seed` ([1,1,H]).
+/// One Rng per (seed, step): recompute after preemption must see the exact
+/// bits a sequential draw would have produced, so each token is a pure
+/// function of its position, not of how many times we asked.
+Tensor TokenAt(uint64_t seed, int64_t t, int64_t hidden) {
+  Rng rng(seed * 1000003 + static_cast<uint64_t>(t));
+  Tensor token(DType::kF32, {1, 1, hidden});
+  for (int64_t i = 0; i < token.num_elements(); ++i) {
+    token.f32_data()[i] = rng.Normal();
+  }
+  return token;
+}
+
+/// One step of the sequence alone through BuildGptStep over its exact
+/// (unpadded) cache rows; appends the new K/V entry to the rows.
+Result<std::vector<Tensor>> SingleStep(
+    const Graph& graph, const Tensor& token,
+    std::vector<std::vector<float>>* k_rows,
+    std::vector<std::vector<float>>* v_rows) {
+  const int64_t len = static_cast<int64_t>(k_rows->size());
+  const int64_t h = token.dims()[2];
+  Tensor k_cache(DType::kF32, {1, len, h});
+  Tensor v_cache(DType::kF32, {1, len, h});
+  for (int64_t r = 0; r < len; ++r) {
+    std::copy((*k_rows)[r].begin(), (*k_rows)[r].end(),
+              k_cache.f32_data() + r * h);
+    std::copy((*v_rows)[r].begin(), (*v_rows)[r].end(),
+              v_cache.f32_data() + r * h);
+  }
+  DISC_ASSIGN_OR_RETURN(std::vector<Tensor> outs,
+                        EvaluateGraph(graph, {token, k_cache, v_cache}));
+  k_rows->push_back(ExtractRow(outs[1], 0, len));
+  v_rows->push_back(ExtractRow(outs[2], 0, len));
+  return outs;
+}
+
 }  // namespace
 
 BatchedDecodeSession::BatchedDecodeSession(
@@ -52,19 +88,6 @@ BatchedDecodeSession::BatchedDecodeSession(
   }
 }
 
-Tensor BatchedDecodeSession::TokenAt(const SeqReplayState& s,
-                                     int64_t t) const {
-  // One Rng per (seed, step): recompute after preemption must see the
-  // exact bits a sequential draw would have produced, so each token is a
-  // pure function of its position, not of how many times we asked.
-  Rng rng(s.spec.seed * 1000003 + static_cast<uint64_t>(t));
-  Tensor token(DType::kF32, {1, 1, config_.hidden});
-  for (int64_t i = 0; i < token.num_elements(); ++i) {
-    token.f32_data()[i] = rng.Normal();
-  }
-  return token;
-}
-
 Status BatchedDecodeSession::RebuildCache(SeqReplayState* s) {
   s->k_rows.clear();
   s->v_rows.clear();
@@ -72,20 +95,10 @@ Status BatchedDecodeSession::RebuildCache(SeqReplayState* s) {
   // token_t @ Wk — bit-identical however it was first produced, because
   // the projection of row b depends only on token row b in both graphs.
   for (int64_t t = 0; t < s->consumed; ++t) {
-    const int64_t len = static_cast<int64_t>(s->k_rows.size());
-    Tensor k_cache(DType::kF32, {1, len, config_.hidden});
-    Tensor v_cache(DType::kF32, {1, len, config_.hidden});
-    for (int64_t r = 0; r < len; ++r) {
-      std::copy(s->k_rows[r].begin(), s->k_rows[r].end(),
-                k_cache.f32_data() + r * config_.hidden);
-      std::copy(s->v_rows[r].begin(), s->v_rows[r].end(),
-                v_cache.f32_data() + r * config_.hidden);
-    }
-    Result<std::vector<Tensor>> outs = EvaluateGraph(
-        *single_model_.graph, {TokenAt(*s, t), k_cache, v_cache});
+    Result<std::vector<Tensor>> outs = SingleStep(
+        *single_model_.graph, TokenAt(s->spec.seed, t, config_.hidden),
+        &s->k_rows, &s->v_rows);
     if (!outs.ok()) return outs.status();
-    s->k_rows.push_back(ExtractRow((*outs)[1], 0, len));
-    s->v_rows.push_back(ExtractRow((*outs)[2], 0, len));
   }
   s->cache_dropped = false;
   return Status::OK();
@@ -139,7 +152,7 @@ Status BatchedDecodeSession::Step(const std::vector<int64_t>& active,
   Tensor mask(DType::kF32, {b, t_pad});
   for (int64_t row = 0; row < b; ++row) {
     SeqReplayState& s = seqs_[static_cast<size_t>(active[row])];
-    const Tensor tok = TokenAt(s, s.consumed);
+    const Tensor tok = TokenAt(s.spec.seed, s.consumed, h);
     std::copy(tok.f32_data(), tok.f32_data() + h,
               token.f32_data() + row * h);
     const int64_t len = static_cast<int64_t>(s.k_rows.size());
@@ -194,34 +207,16 @@ Result<std::vector<Tensor>> ReplaySingleSequence(const ModelConfig& config,
   // The reference runs the whole life of the sequence — prefill included —
   // through BuildGptStep with exact (unpadded) cache lengths.
   Model single = BuildGptStep(config);
-  const int64_t h = config.hidden;
   std::vector<std::vector<float>> k_rows;
   std::vector<std::vector<float>> v_rows;
   std::vector<Tensor> decode_probs;
   const int64_t total = seq.prompt_len + seq.decode_len;
   for (int64_t t = 0; t < total; ++t) {
-    const int64_t len = static_cast<int64_t>(k_rows.size());
-    Tensor k_cache(DType::kF32, {1, len, h});
-    Tensor v_cache(DType::kF32, {1, len, h});
-    for (int64_t r = 0; r < len; ++r) {
-      std::copy(k_rows[r].begin(), k_rows[r].end(),
-                k_cache.f32_data() + r * h);
-      std::copy(v_rows[r].begin(), v_rows[r].end(),
-                v_cache.f32_data() + r * h);
-    }
-    // Token streams are a pure function of (seed, t); mirror the session's
-    // derivation exactly.
-    Rng rng(seq.seed * 1000003 + static_cast<uint64_t>(t));
-    Tensor token(DType::kF32, {1, 1, h});
-    for (int64_t i = 0; i < token.num_elements(); ++i) {
-      token.f32_data()[i] = rng.Normal();
-    }
-    Result<std::vector<Tensor>> outs =
-        EvaluateGraph(*single.graph, {token, k_cache, v_cache});
-    if (!outs.ok()) return outs.status();
-    k_rows.push_back(ExtractRow((*outs)[1], 0, len));
-    v_rows.push_back(ExtractRow((*outs)[2], 0, len));
-    if (t >= seq.prompt_len) decode_probs.push_back((*outs)[0].Clone());
+    DISC_ASSIGN_OR_RETURN(
+        std::vector<Tensor> outs,
+        SingleStep(*single.graph, TokenAt(seq.seed, t, config.hidden),
+                   &k_rows, &v_rows));
+    if (t >= seq.prompt_len) decode_probs.push_back(outs[0].Clone());
   }
   return decode_probs;
 }

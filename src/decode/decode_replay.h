@@ -79,9 +79,6 @@ class BatchedDecodeSession {
     std::vector<Tensor> captured;
   };
 
-  /// Token embedding for step `t` of sequence `seq` ([1,1,H]); pure
-  /// function of (seed, t) so preemption recompute sees identical inputs.
-  Tensor TokenAt(const SeqReplayState& s, int64_t t) const;
   /// Replays tokens [from, s->consumed) through the single-sequence graph
   /// to (re)build cache rows — prefill at start, recompute after preempt.
   Status RebuildCache(SeqReplayState* s);

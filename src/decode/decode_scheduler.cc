@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <limits>
 
 #include "support/artifact_dump.h"
 #include "support/logging.h"
@@ -45,7 +44,6 @@ struct SeqState {
   double last_token_us = 0.0;
   PhaseLedger ledger;
   int64_t retries = 0;
-  int64_t preempt_count = 0;
   bool degraded = false;
 
   /// KV entries the next step attends to (prompt + generated so far).
@@ -77,8 +75,8 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
   }
   const bool continuous = options.policy == DecodePolicy::kContinuous;
 
-  // Sequence table in (arrival, id) order — the same total order
-  // FormBatches uses, so decode replays are permutation-independent too.
+  // Sequence table in the arrival order FormBatches uses, so decode
+  // replays are permutation-independent too.
   std::vector<SeqState> seqs;
   seqs.reserve(requests.size());
   for (const DecodeRequest& r : requests) {
@@ -89,10 +87,7 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
   }
   std::stable_sort(seqs.begin(), seqs.end(),
                    [](const SeqState& a, const SeqState& b) {
-                     if (a.req.arrival_us != b.req.arrival_us) {
-                       return a.req.arrival_us < b.req.arrival_us;
-                     }
-                     return a.req.id < b.req.id;
+                     return ArrivesBefore(a.req, b.req);
                    });
 
   KvCachePool pool(options.kv);
@@ -100,16 +95,10 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
   stats.policy = DecodePolicyName(options.policy);
   ServingStats& sv = stats.serving;
   sv.submitted = static_cast<int64_t>(seqs.size());
+  ReplayCore core(engine, device, options, "decode", &sv);
 
-  const int64_t hits_before = engine->stats().launch_plan_hits;
-  const int64_t misses_before = engine->stats().launch_plan_misses;
   TraceSession& trace = TraceSession::Global();
   MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter* launch_counter = registry.GetCounter("runtime.kernel.launches");
-  Counter* memory_bound_counter =
-      registry.GetCounter("runtime.kernel.memory_bound");
-  const int64_t launches_before = launch_counter->value();
-  const int64_t memory_bound_before = memory_bound_counter->value();
   Histogram* occupancy_hist = registry.GetHistogram(
       "decode.step_occupancy", {1, 2, 4, 8, 16, 32, 64});
   Histogram* tbt_hist = registry.GetHistogram("decode.tbt_us");
@@ -121,10 +110,7 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
   size_t arrival_cursor = 0;
   std::vector<size_t> running;  // indices into seqs, oldest join first
   std::deque<size_t> wait_queue;
-  std::vector<double> latencies;
   std::vector<double> tbt_gaps;
-  int64_t total_real_tokens = 0;
-  int64_t total_padded_tokens = 0;
 
   const int64_t block_tokens = options.kv.block_tokens;
   auto pad_batch = [&](int64_t b) {
@@ -152,10 +138,7 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
   };
 
   auto fail_seq = [&](size_t idx, const Status& error) {
-    ++sv.failed;
-    const std::string code = StatusCodeToString(error.code());
-    ++sv.error_counts[code];
-    CountMetric("serving.errors." + code);
+    core.BookFailure(error, 1);
     pool.Release(static_cast<int64_t>(idx));
   };
 
@@ -172,7 +155,6 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
     wait_queue.push_front(victim);
     s.out_since_us = now_us;
     s.ledger.backoff_us += backoff_so_far_us;
-    ++s.preempt_count;
     ++sv.preemptions;
     CountMetric("decode.preemptions");
     if (trace.enabled()) {
@@ -185,36 +167,33 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
     }
   };
 
-  // Lowest-progress victim (fewest generated tokens; ties go to the later
-  // arrival, so older work survives). Never the frozen — they hold no
-  // growth and already completed.
+  // Lowest-progress victim: fewest generated tokens; ties go to the later
+  // arrival, so older work survives. Only continuous batching preempts,
+  // and it never holds frozen rows.
   auto pick_victim = [&]() -> size_t {
-    size_t victim = running.front();
-    for (size_t idx : running) {
-      const SeqState& s = seqs[idx];
-      const SeqState& v = seqs[victim];
-      if (s.frozen) continue;
-      if (seqs[victim].frozen || s.generated < v.generated ||
-          (s.generated == v.generated &&
-           s.req.arrival_us > v.req.arrival_us)) {
-        victim = idx;
-      }
-    }
-    return victim;
+    return *std::min_element(
+        running.begin(), running.end(), [&](size_t a, size_t b) {
+          const SeqState& x = seqs[a];
+          const SeqState& y = seqs[b];
+          return x.generated < y.generated ||
+                 (x.generated == y.generated &&
+                  x.req.arrival_us > y.req.arrival_us);
+        });
   };
 
+  // Continuous: blocks for the current cache plus the entry this step
+  // appends (so a fresh join never immediately preempts someone in the
+  // growth phase). Whole-request: the full eventual footprint up front —
+  // the classic over-reservation continuous batching exists to avoid.
+  auto reserve_tokens = [&](const SeqState& s) {
+    return continuous ? s.kv_len() + 1 : s.total_len();
+  };
   // Admission gate: KV blocks first (the pool IS the capacity), then the
   // engine's symbolic activation peak for the would-be step shape plus all
-  // committed KV bytes against the memory budget — the PR 6
+  // committed KV bytes against the memory budget — request-level
   // PredictPeakBytes admission extended with the cache footprint.
   auto can_admit = [&](const SeqState& s) {
-    // Continuous: blocks for the current cache plus the entry this step
-    // appends (so a fresh join never immediately preempts someone in the
-    // growth phase). Whole-request: the full eventual footprint up front —
-    // the classic over-reservation continuous batching exists to avoid.
-    const int64_t reserve_tokens =
-        continuous ? s.kv_len() + 1 : s.total_len();
-    const int64_t blocks = pool.BlocksFor(reserve_tokens);
+    const int64_t blocks = pool.BlocksFor(reserve_tokens(s));
     if (!pool.CanReserve(blocks)) return false;
     if (options.memory_limit_bytes > 0) {
       const int64_t b = pad_batch(static_cast<int64_t>(running.size()) + 1);
@@ -236,9 +215,7 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
 
   auto admit = [&](size_t idx) {
     SeqState& s = seqs[idx];
-    const int64_t reserve_tokens =
-        continuous ? s.kv_len() + 1 : s.total_len();
-    Status st = pool.Reserve(static_cast<int64_t>(idx), reserve_tokens);
+    Status st = pool.Reserve(static_cast<int64_t>(idx), reserve_tokens(s));
     DISC_CHECK(st.ok()) << st.ToString();
     running.push_back(idx);
     ++sv.decode_joins;
@@ -253,6 +230,43 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
       CountMetric("decode.resumes");
     }
   };
+
+  // The step being launched: a ragged batch of whoever survived join and
+  // growth, KV padded to the block quantum (or pow2 grid) of the longest
+  // live sequence. Frozen whole-request rows pad the batch but attend
+  // nothing.
+  struct Step {
+    int64_t occupancy = 0;
+    int64_t padded_batch = 0;
+    int64_t padded_kv = 0;
+    std::vector<std::vector<int64_t>> shapes;
+    std::string signature;
+    int64_t preemptions = 0;
+  } step;
+  auto stage_step = [&]() {
+    step.occupancy = live_count();
+    step.padded_batch = pad_batch(static_cast<int64_t>(running.size()));
+    step.padded_kv = pad_kv(max_live_kv());
+    step.shapes = shape_fn(step.padded_batch, step.padded_kv);
+    step.signature =
+        StrFormat("%lldx%lld", static_cast<long long>(step.padded_batch),
+                  static_cast<long long>(step.padded_kv));
+  };
+  // The decode rung of the launch ladder: ResourceExhausted sheds load
+  // *within* the step — preempt the lowest-progress sequence, shrink the
+  // signature, relaunch at once. Bounded: each preemption shrinks the
+  // batch. Whole-request batches have fixed membership, so for them the
+  // error takes the ordinary retry path.
+  PressureRelief relieve;
+  if (continuous) {
+    relieve = [&](double at_us, double backoff_us) {
+      if (live_count() <= 1) return false;
+      preempt(pick_victim(), at_us, backoff_us);
+      ++step.preemptions;
+      stage_step();
+      return true;
+    };
+  }
 
   int64_t step_index = 0;
   while (arrival_cursor < seqs.size() || !wait_queue.empty() ||
@@ -312,7 +326,7 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
     // is the continuous path's per-block lazy acquisition; exhaustion is
     // answered by the decode rung of the degradation ladder — preempt the
     // lowest-progress sequence — instead of failing the batch.
-    int64_t step_preempts = 0;
+    step.preemptions = 0;
     if (continuous) {
       for (size_t pos = 0; pos < running.size();) {
         const size_t idx = running[pos];
@@ -333,30 +347,14 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
             std::find(running.begin(), running.end(), victim) -
             running.begin());
         preempt(victim, clock_us, /*backoff_so_far_us=*/0.0);
-        ++step_preempts;
+        ++step.preemptions;
         if (victim_pos < pos) --pos;
         // Retry the same sequence's growth against the freed blocks.
       }
       if (running.empty()) continue;
     }
 
-    // Ragged step batch: occupancy is whoever survived join/growth, KV
-    // pads to the block quantum (or pow2 grid) of the longest live
-    // sequence. Frozen whole-request rows pad the batch but attend
-    // nothing.
-    int64_t occupancy = live_count();
-    if (occupancy == 0) {
-      // Whole-request batch fully drained via a failure path; recycle.
-      for (size_t idx : running) pool.Release(static_cast<int64_t>(idx));
-      running.clear();
-      continue;
-    }
-    int64_t padded_batch = pad_batch(static_cast<int64_t>(running.size()));
-    int64_t padded_kv = pad_kv(max_live_kv());
-    auto shapes = shape_fn(padded_batch, padded_kv);
-    std::string signature =
-        StrFormat("%lldx%lld", static_cast<long long>(padded_batch),
-                  static_cast<long long>(padded_kv));
+    stage_step();
 
     // Attribute the step's downstream spans (Executable::Run, compile
     // jobs) to the oldest live member.
@@ -370,74 +368,29 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
     RequestContext step_context(step_trace_id);
     RequestContextScope context_scope(&step_context);
 
-    // Launch with the decode ladder: retryable non-memory errors back off
-    // and retry (PR 4 semantics); ResourceExhausted sheds load *within*
-    // the batch — preempt the lowest-progress sequence, shrink the
-    // signature, relaunch immediately (pressure relief, not a transient).
-    const double first_start = clock_us;
-    double start = first_start;
-    const int64_t fallback_before = engine->stats().fallback_queries;
-    Result<EngineTiming> attempt_result = EngineTiming{};
-    int64_t step_retries = 0;
-    for (int64_t attempt = 0;;) {
-      engine->SetSimulatedTimeUs(start);
-      attempt_result = engine->Query(shapes, device);
-      if (attempt_result.ok()) break;
-      const Status& error = attempt_result.status();
-      if (continuous && error.code() == StatusCode::kResourceExhausted &&
-          live_count() > 1) {
-        preempt(pick_victim(), start, start - first_start);
-        ++step_preempts;
-        occupancy = live_count();
-        padded_batch = pad_batch(static_cast<int64_t>(running.size()));
-        padded_kv = pad_kv(max_live_kv());
-        shapes = shape_fn(padded_batch, padded_kv);
-        signature =
-            StrFormat("%lldx%lld", static_cast<long long>(padded_batch),
-                      static_cast<long long>(padded_kv));
-        continue;  // bounded: each preemption shrinks the batch
-      }
-      if (!error.IsRetryable() || attempt >= options.max_retries) break;
-      ++sv.retries;
-      ++step_retries;
-      CountMetric("serving.retries");
-      start += options.retry_backoff_us * std::pow(2.0, attempt);
-      ++attempt;
-    }
-
-    if (!attempt_result.ok()) {
+    const LaunchResult launch = core.Launch(step.shapes, clock_us, relieve);
+    const double start = launch.start_us;
+    if (!launch.ok()) {
       // Step dead after the ladder: every live member fails; frozen
       // members already completed and just lose their held blocks.
-      const Status error = attempt_result.status();
-      for (size_t idx : running) {
-        SeqState& s = seqs[idx];
-        if (s.frozen) {
-          pool.Release(static_cast<int64_t>(idx));
-        } else {
-          fail_seq(idx, error);
-        }
-      }
+      core.BookFailure(launch.status, step.occupancy);
+      for (size_t idx : running) pool.Release(static_cast<int64_t>(idx));
       running.clear();
       clock_us = std::max(clock_us, start);
       if (trace.enabled()) {
         trace.AddCompleteEvent(
             "step-failed", "decode.step", start, /*dur_us=*/-1.0,
             TraceSession::kSimPid, /*tid=*/0,
-            {{"shape", signature}, {"error", error.ToString()}});
+            {{"shape", step.signature},
+             {"error", launch.status.ToString()}});
       }
       continue;
     }
 
-    const EngineTiming timing = *attempt_result;
-    const double done = start + timing.total_us;
-    const double backoff_us = start - first_start;
+    const EngineTiming& timing = launch.timing;
+    const double done = launch.done_us();
     clock_us = done;
-    const bool step_degraded =
-        engine->stats().fallback_queries > fallback_before;
-    if (step_degraded) {
-      sv.degraded += occupancy;
-      CountMetric("serving.degraded", occupancy);
-    }
+    if (launch.degraded) core.BookDegraded(step.occupancy);
 
     // Waste accounting: real = KV entries actually attended; padded = the
     // launch's full B x T cache footprint (block/pow2 rounding plus frozen
@@ -446,17 +399,17 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
     for (size_t idx : running) {
       if (!seqs[idx].frozen) step_real += seqs[idx].kv_len();
     }
-    const int64_t step_padded = padded_batch * padded_kv;
-    total_real_tokens += step_real;
-    total_padded_tokens += step_padded;
-    occupancy_hist->Observe(static_cast<double>(occupancy));
-    waste_hist->Observe(
-        step_padded > 0
-            ? 100.0 * (1.0 - static_cast<double>(step_real) /
-                                 static_cast<double>(step_padded))
-            : 0.0);
+    const int64_t step_padded = step.padded_batch * step.padded_kv;
+    occupancy_hist->Observe(static_cast<double>(step.occupancy));
+    waste_hist->Observe(core.AddTokens(step_real, step_padded));
 
     int64_t step_retires = 0;
+    auto retire = [&](size_t idx) {
+      pool.Release(static_cast<int64_t>(idx));
+      ++sv.decode_retires;
+      ++step_retires;
+      CountMetric("decode.retires");
+    };
     std::vector<size_t> still_running;
     still_running.reserve(running.size());
     for (size_t idx : running) {
@@ -465,13 +418,9 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
         still_running.push_back(idx);
         continue;
       }
-      s.ledger.backoff_us += backoff_us;
-      s.ledger.compile_stall_us += timing.compile_us;
-      s.ledger.host_plan_us += timing.host_us;
-      s.ledger.alloc_us += timing.alloc_us;
-      s.ledger.device_us += timing.device_us;
-      s.retries += step_retries;
-      s.degraded = s.degraded || step_degraded;
+      launch.Charge(&s.ledger);
+      s.retries += launch.retries;
+      s.degraded = s.degraded || launch.degraded;
       tbt_gaps.push_back(done - s.last_token_us);
       tbt_hist->Observe(done - s.last_token_us);
       s.last_token_us = done;
@@ -481,34 +430,19 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
         still_running.push_back(idx);
         continue;
       }
-      // Sequence complete: record the causal ledger (sums exactly to e2e
-      // by the engine timing invariant plus the scheduler's geometry —
-      // steps run back-to-back, out-of-batch time is decode_wait).
-      const double e2e = done - s.req.arrival_us;
-      latencies.push_back(e2e);
-      CompletedRequest record;
-      record.trace_id = s.req.trace_id;
-      record.request_id = s.req.id;
-      record.signature = signature;
-      record.arrival_us = s.req.arrival_us;
-      record.e2e_us = e2e;
-      record.ledger = s.ledger;
-      record.degraded = s.degraded;
-      record.retries = s.retries;
-      const double ledger_total = record.ledger.TotalUs();
-      DISC_CHECK(std::abs(ledger_total - e2e) <= 1e-6 * std::max(1.0, e2e))
-          << StrFormat(
-                 "decode sequence %lld ledger drifted: phases sum to %.6f, "
-                 "e2e is %.6f (%s)",
-                 static_cast<long long>(s.req.id), ledger_total, e2e,
-                 record.ledger.ToString().c_str());
-      sv.completed_requests.push_back(std::move(record));
-      ++sv.completed;
+      // Sequence complete: its ledger sums exactly to e2e by the engine
+      // timing invariant plus the scheduler's geometry — steps run
+      // back-to-back, out-of-batch time is decode_wait.
+      core.Complete({.trace_id = s.req.trace_id,
+                     .request_id = s.req.id,
+                     .signature = step.signature,
+                     .arrival_us = s.req.arrival_us,
+                     .e2e_us = done - s.req.arrival_us,
+                     .ledger = s.ledger,
+                     .degraded = s.degraded,
+                     .retries = s.retries});
       if (continuous) {
-        pool.Release(static_cast<int64_t>(idx));
-        ++sv.decode_retires;
-        ++step_retires;
-        CountMetric("decode.retires");
+        retire(idx);
       } else {
         s.frozen = true;
         still_running.push_back(idx);
@@ -518,39 +452,25 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
 
     // Whole-request: the batch leaves the device only when every member
     // is done; blocks recycle all at once.
-    if (!continuous && !running.empty()) {
-      bool all_frozen = true;
-      for (size_t idx : running) {
-        if (!seqs[idx].frozen) {
-          all_frozen = false;
-          break;
-        }
-      }
-      if (all_frozen) {
-        for (size_t idx : running) {
-          pool.Release(static_cast<int64_t>(idx));
-          ++sv.decode_retires;
-          ++step_retires;
-          CountMetric("decode.retires");
-        }
-        running.clear();
-      }
+    if (!continuous && !running.empty() && live_count() == 0) {
+      for (size_t idx : running) retire(idx);
+      running.clear();
     }
 
     DecodeStepRecord rec;
     rec.step = step_index++;
     rec.start_us = start;
     rec.dur_us = timing.total_us;
-    rec.occupancy = occupancy;
-    rec.padded_batch = padded_batch;
-    rec.padded_kv = padded_kv;
+    rec.occupancy = step.occupancy;
+    rec.padded_batch = step.padded_batch;
+    rec.padded_kv = step.padded_kv;
     rec.joins = step_joins;
     rec.retires = step_retires;
-    rec.preemptions = step_preempts;
+    rec.preemptions = step.preemptions;
     rec.real_tokens = step_real;
     rec.padded_tokens = step_padded;
     rec.kv_blocks_in_use = pool.used_blocks();
-    rec.signature = signature;
+    rec.signature = step.signature;
     stats.timeline.push_back(rec);
     ++sv.decode_steps;
     CountMetric("decode.steps");
@@ -558,28 +478,16 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
       trace.AddCompleteEvent(
           "step", "decode.step", start, timing.total_us,
           TraceSession::kSimPid, /*tid=*/0,
-          {{"shape", signature},
-           {"occupancy", std::to_string(occupancy)},
+          {{"shape", step.signature},
+           {"occupancy", std::to_string(step.occupancy)},
            {"joins", std::to_string(step_joins)},
            {"retires", std::to_string(step_retires)},
-           {"preemptions", std::to_string(step_preempts)},
+           {"preemptions", std::to_string(step.preemptions)},
            {"kv_blocks", std::to_string(pool.used_blocks())}});
     }
   }
 
-  std::sort(latencies.begin(), latencies.end());
-  sv.p50_us = SortedPercentile(latencies, 50);
-  sv.p95_us = SortedPercentile(latencies, 95);
-  sv.p99_us = SortedPercentile(latencies, 99);
-  double total_lat = 0.0;
-  for (double l : latencies) total_lat += l;
-  sv.mean_us = latencies.empty()
-                   ? 0.0
-                   : total_lat / static_cast<double>(latencies.size());
-  sv.throughput_qps =
-      clock_us > 0
-          ? static_cast<double>(sv.completed) / clock_us * 1e6
-          : 0.0;
+  core.Finalize(clock_us);
   sv.tokens_per_sec =
       clock_us > 0
           ? static_cast<double>(sv.generated_tokens) / clock_us * 1e6
@@ -587,22 +495,8 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
   std::sort(tbt_gaps.begin(), tbt_gaps.end());
   sv.p50_tbt_us = SortedPercentile(tbt_gaps, 50);
   sv.p99_tbt_us = SortedPercentile(tbt_gaps, 99);
-  sv.step_padding_waste =
-      total_padded_tokens > 0
-          ? 1.0 - static_cast<double>(total_real_tokens) /
-                      static_cast<double>(total_padded_tokens)
-          : 0.0;
-  sv.padded_token_fraction = sv.step_padding_waste;
+  sv.step_padding_waste = sv.padded_token_fraction;
   sv.batches = sv.decode_steps;
-  const int64_t hits = engine->stats().launch_plan_hits - hits_before;
-  const int64_t misses = engine->stats().launch_plan_misses - misses_before;
-  sv.plan_hit_rate =
-      hits + misses > 0
-          ? static_cast<double>(hits) / static_cast<double>(hits + misses)
-          : 0.0;
-  sv.kernel_launches = launch_counter->value() - launches_before;
-  sv.memory_bound_launches =
-      memory_bound_counter->value() - memory_bound_before;
   sv.kv_high_water_blocks = pool.stats().high_water_blocks;
   sv.kv_block_recycles = pool.stats().block_recycles;
   stats.kv_capacity_blocks = pool.options().capacity_blocks;
@@ -613,9 +507,6 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
   // Every block granted over the replay must be back in the free list:
   // zero leaked blocks is the pool-side half of the accounting invariant.
   DISC_CHECK_EQ(pool.used_blocks(), 0) << "KV blocks leaked by the replay";
-  DISC_CHECK_EQ(sv.completed + sv.shed + sv.deadline_missed + sv.failed,
-                sv.submitted)
-      << "decode accounting drifted";
   return stats;
 }
 

@@ -8,33 +8,31 @@
 // maximum for its entire lifetime. For decode that is catastrophic —
 // sequence lengths change EVERY iteration, short sequences finish early
 // but their slots keep burning device time, and new arrivals wait for the
-// whole batch to drain. The DecodeScheduler instead reschedules at every
+// whole batch to drain. SimulateDecode instead reschedules at every
 // simulated-clock step:
 //   * retire  — sequences that produced their last token leave the batch
 //               and their KV blocks recycle immediately;
 //   * join    — arrived (or preempted-and-requeued) sequences enter the
 //               running batch whenever a slot and KV blocks are free,
 //               gated by the engine's symbolic activation-peak formula
-//               plus the KV pool's committed bytes (PredictPeakBytes-
-//               style admission, PR 6);
+//               plus the KV pool's committed bytes;
 //   * step    — the survivors form one ragged batch: occupancy B and the
 //               step's padded KV length T (rounded to the KV pool's block
-//               quantum, so step shape-signatures repeat and the PR 1
-//               launch-plan cache / PR 5 hot-swap slots stay warm);
+//               quantum, so step shape-signatures repeat and the
+//               launch-plan cache stays warm);
 //   * preempt — under memory pressure (KV pool exhausted, or the engine
 //               reports ResourceExhausted) the LOWEST-PROGRESS sequences
-//               are preempted: blocks released, sequence requeued — the
-//               decode-aware rung of the PR 4 degradation ladder,
-//               replacing whole-request shed. A preempted sequence
-//               resumes later and still completes, so the serving
-//               accounting invariant is unchanged.
+//               are preempted: blocks released, sequence requeued. A
+//               preempted sequence resumes later and still completes.
 //
-// Every completed sequence carries the PR 7 phase ledger with the new
-// `decode_wait` phase (time mid-flight but out of the running batch);
-// the ledger still sums exactly to the end-to-end latency, DISC_CHECKed
-// per request. The per-step timeline (occupancy, joins/retires/
-// preemptions, KV high-water) is dumped as decode_timeline.json for
-// `disc_explain --decode` / `trace_inspect --decode`.
+// The launch ladder, failure booking, per-request ledger check and run
+// summary are the replay core's (serving/replay_core.h), shared with
+// request-level serving; decode plugs preemption into the ladder as its
+// ResourceExhausted relief. Completed sequences' ledgers carry the
+// `decode_wait` phase (time mid-flight but out of the running batch). The
+// per-step timeline (occupancy, joins/retires/preemptions, KV high-water)
+// is dumped as decode_timeline.json for `disc_explain --decode` /
+// `trace_inspect --decode`.
 #ifndef DISC_DECODE_DECODE_SCHEDULER_H_
 #define DISC_DECODE_DECODE_SCHEDULER_H_
 
@@ -73,22 +71,17 @@ enum class DecodePolicy {
 
 const char* DecodePolicyName(DecodePolicy policy);
 
-struct DecodeOptions {
+/// Decode options. From ReplayOptions: `max_batch` caps the sequences in
+/// one step; `max_queue_depth` sheds arrived-but-unadmitted requests
+/// beyond this backlog depth (newest first, so the oldest keep their
+/// place); `memory_limit_bytes` admits a candidate only when the engine's
+/// predicted activation peak for the would-be step shape plus the KV
+/// pool's committed bytes (including the candidate's grant) fits (0 =
+/// admit on KV blocks alone); `max_retries` / `retry_backoff_us` drive the
+/// launch ladder for retryable, non-memory errors.
+struct DecodeOptions : ReplayOptions {
   DecodePolicy policy = DecodePolicy::kContinuous;
-  int64_t max_batch = 8;
   KvCachePoolOptions kv;
-  /// Memory-aware admission: a candidate joins only when the engine's
-  /// predicted activation peak for the would-be step shape plus the KV
-  /// pool's committed bytes (including the candidate's grant) fits.
-  /// 0 = admit on KV blocks alone.
-  int64_t memory_limit_bytes = 0;
-  /// Shed arrived-but-unadmitted requests beyond this backlog depth
-  /// (newest first, so the oldest keep their place). 0 = never shed.
-  int64_t max_queue_depth = 0;
-  /// Engine-failure retry ladder (retryable, non-memory errors), same
-  /// semantics as BatcherOptions.
-  int64_t max_retries = 2;
-  double retry_backoff_us = 500.0;
   /// Pad step signatures to powers of two (batch and KV length) instead
   /// of the KV block quantum — the static bucketed engine's grid.
   bool pad_pow2 = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "ir/type_inference.h"
@@ -74,6 +75,11 @@ Result<Tensor> EvalElementwise(const Node& node,
   for (const Tensor& in : inputs) {
     in_strides.push_back(BroadcastStrides(in, out_dims.size()));
   }
+  // Integral div/mod trap in C++ on a zero divisor and on INT64_MIN / -1;
+  // report them with the fused loop program's messages instead.
+  const bool division =
+      (node.kind() == OpKind::kDiv || node.kind() == OpKind::kMod) &&
+      IsIntegral(inputs[0].dtype());
   do {
     int64_t out_linear = LinearIndex(idx, out_strides);
     if (node.kind() == OpKind::kSelect) {
@@ -88,6 +94,16 @@ Result<Tensor> EvalElementwise(const Node& node,
     } else {
       double a = inputs[0].ElementAsDouble(LinearIndex(idx, in_strides[0]));
       double b = inputs[1].ElementAsDouble(LinearIndex(idx, in_strides[1]));
+      if (division) {
+        const int64_t y = static_cast<int64_t>(b);
+        if (y == 0) {
+          return Status::InvalidArgument("integer division by zero");
+        }
+        if (y == -1 && static_cast<int64_t>(a) ==
+                           std::numeric_limits<int64_t>::min()) {
+          return Status::InvalidArgument("integer division overflow");
+        }
+      }
       out.SetElementFromDouble(
           out_linear, ApplyBinaryScalar(node.kind(), a, b, inputs[0].dtype()));
     }
@@ -593,9 +609,16 @@ Result<std::vector<Tensor>> EvaluateNode(const Node& node,
         std::vector<int64_t> idx(in.rank(), 0);
         auto in_strides = in.Strides();
         auto out_strides = out.Strides();
+        std::vector<int64_t> out_idx(idx.size());
         do {
-          std::vector<int64_t> out_idx(idx.size());
-          for (size_t i = 0; i < idx.size(); ++i) out_idx[i] = idx[i] + low[i];
+          // A negative pad crops: input elements that land outside the
+          // output are dropped, as the fused loop program does.
+          bool inside = true;
+          for (size_t i = 0; i < idx.size(); ++i) {
+            out_idx[i] = idx[i] + low[i];
+            inside = inside && out_idx[i] >= 0 && out_idx[i] < out_dims[i];
+          }
+          if (!inside) continue;
           out.SetElementFromDouble(
               LinearIndex(out_idx, out_strides),
               in.ElementAsDouble(LinearIndex(idx, in_strides)));

@@ -68,7 +68,8 @@ inline double UnaryScalar(double x) {
 
 /// \brief Scalar semantics of binary op `K`. With `integral` (operand 0 has
 /// an integral dtype) div/mod truncate like C++ int64 arithmetic, which
-/// traps on a zero divisor.
+/// traps on a zero divisor and on INT64_MIN / -1: callers rule both out
+/// (EvalElementwise returns InvalidArgument for them).
 template <OpKind K>
 inline double BinaryScalar(double a, double b, bool integral) {
   if constexpr (K == OpKind::kAdd) return a + b;

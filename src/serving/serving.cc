@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "support/flight_recorder.h"
-#include "support/logging.h"
 #include "support/math_util.h"
 #include "support/metrics.h"
 #include "support/rng.h"
@@ -26,81 +24,16 @@ const char* PadPolicyName(PadPolicy policy) {
   return "?";
 }
 
-std::string ServingStats::ToString() const {
-  std::string s = StrFormat(
-      "p50=%.0fus p95=%.0fus p99=%.0fus mean=%.0fus qps=%.0f "
-      "pad_waste=%.0f%% batches=%lld plan_hits=%.0f%%",
-      p50_us, p95_us, p99_us, mean_us, throughput_qps,
-      padded_token_fraction * 100, static_cast<long long>(batches),
-      plan_hit_rate * 100);
-  s += StrFormat(" ok=%lld/%lld", static_cast<long long>(completed),
-                 static_cast<long long>(submitted));
-  if (shed > 0) s += StrFormat(" shed=%lld", static_cast<long long>(shed));
-  if (memory_shed > 0) {
-    s += StrFormat(" memory_shed=%lld", static_cast<long long>(memory_shed));
-  }
-  if (deadline_missed > 0) {
-    s += StrFormat(" deadline_missed=%lld",
-                   static_cast<long long>(deadline_missed));
-  }
-  if (failed > 0) s += StrFormat(" failed=%lld", static_cast<long long>(failed));
-  if (retries > 0) {
-    s += StrFormat(" retries=%lld", static_cast<long long>(retries));
-  }
-  if (degraded > 0) {
-    s += StrFormat(" degraded=%lld", static_cast<long long>(degraded));
-  }
-  if (kernel_launches > 0) {
-    s += StrFormat(" kernel_launches=%lld memory_bound=%lld",
-                   static_cast<long long>(kernel_launches),
-                   static_cast<long long>(memory_bound_launches));
-  }
-  for (const auto& [code, count] : error_counts) {
-    s += StrFormat(" err[%s]=%lld", code.c_str(),
-                   static_cast<long long>(count));
-  }
-  if (decode_steps > 0) {
-    s += StrFormat(
-        "\n  decode: steps=%lld tokens=%lld tok/s=%.0f p50_tbt=%.1fus "
-        "p99_tbt=%.1fus step_pad_waste=%.1f%% joins=%lld retires=%lld "
-        "preemptions=%lld resumes=%lld kv_high_water_blocks=%lld "
-        "kv_recycles=%lld",
-        static_cast<long long>(decode_steps),
-        static_cast<long long>(generated_tokens), tokens_per_sec, p50_tbt_us,
-        p99_tbt_us, step_padding_waste * 100,
-        static_cast<long long>(decode_joins),
-        static_cast<long long>(decode_retires),
-        static_cast<long long>(preemptions), static_cast<long long>(resumes),
-        static_cast<long long>(kv_high_water_blocks),
-        static_cast<long long>(kv_block_recycles));
-  }
-  return s;
-}
-
 namespace {
 
 std::vector<Request> SortedByArrival(const std::vector<Request>& requests) {
   std::vector<Request> sorted = requests;
-  // Total order: arrival, then deadline, then id. Sorting by arrival alone
-  // left equal-arrival requests in caller order, so the same logical
-  // stream batched differently depending on input permutation — decode
-  // traces replayed through FormBatches were not byte-stable. The
-  // deadline tie-break keeps tighter-deadline requests ahead inside the
-  // tie; the id tie-break makes the order a permutation-independent total
-  // order (stable_sort then only breaks exact duplicates by caller order).
-  auto effective_deadline = [](const Request& r) {
-    return r.deadline_us > 0.0 ? r.deadline_us
-                               : std::numeric_limits<double>::infinity();
-  };
+  // A total order, so stable_sort only breaks exact duplicates by caller
+  // order. Through a lambda, not a function pointer, so the comparison
+  // inlines.
   std::stable_sort(sorted.begin(), sorted.end(),
-                   [&](const Request& a, const Request& b) {
-                     if (a.arrival_us != b.arrival_us) {
-                       return a.arrival_us < b.arrival_us;
-                     }
-                     const double da = effective_deadline(a);
-                     const double db = effective_deadline(b);
-                     if (da != db) return da < db;
-                     return a.id < b.id;
+                   [](const Request& a, const Request& b) {
+                     return ArrivesBefore(a, b);
                    });
   return sorted;
 }
@@ -182,19 +115,9 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
   ServingStats stats;
   stats.batches = static_cast<int64_t>(batches.size());
   stats.submitted = static_cast<int64_t>(sorted.size());
-  const int64_t hits_before = engine->stats().launch_plan_hits;
-  const int64_t misses_before = engine->stats().launch_plan_misses;
+  ReplayCore core(engine, device, options, "serving", &stats);
   TraceSession& trace = TraceSession::Global();
   MetricsRegistry& registry = MetricsRegistry::Global();
-  // Kernel-observatory attribution: the runtime mirrors its per-run launch
-  // counters into the registry, so the delta across this simulation is
-  // exactly the launches this request stream caused (interpreter-degraded
-  // batches contribute nothing — they never reach ExecutePlan).
-  Counter* launch_counter = registry.GetCounter("runtime.kernel.launches");
-  Counter* memory_bound_counter =
-      registry.GetCounter("runtime.kernel.memory_bound");
-  const int64_t launches_before = launch_counter->value();
-  const int64_t memory_bound_before = memory_bound_counter->value();
   Histogram* queue_wait_hist = registry.GetHistogram("serving.queue_wait_us");
   Histogram* queue_depth_hist = registry.GetHistogram(
       "serving.queue_depth", {1, 2, 4, 8, 16, 32, 64, 128});
@@ -210,29 +133,21 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
   CountMetric("serving.batches", stats.batches);
 
   double clock_us = 0.0;
-  int64_t real_tokens = 0;
-  int64_t padded_tokens = 0;
   // Queue depth at batch launch = arrived - accounted. Requests are sorted
   // by arrival and batches launch in order, so both counts are running
   // cursors over the simulated clock.
   size_t arrived_cursor = 0;
-  std::vector<double> latencies;
-  auto accounted = [&stats]() {
-    return stats.completed + stats.shed + stats.deadline_missed + stats.failed;
-  };
   for (const Batch& batch : batches) {
     const int64_t n = static_cast<int64_t>(batch.requests.size());
-    // first_start is the launch attempt before any retry backoff; the
-    // retry loop advances `start` past it, and the gap is the ledger's
-    // backoff phase.
+    // The launch attempt before any retry backoff.
     const double first_start = std::max(clock_us, batch.ready_us);
-    double start = first_start;
 
     while (arrived_cursor < sorted.size() &&
-           sorted[arrived_cursor].arrival_us <= start) {
+           sorted[arrived_cursor].arrival_us <= first_start) {
       ++arrived_cursor;
     }
-    const int64_t depth = static_cast<int64_t>(arrived_cursor) - accounted();
+    const int64_t depth =
+        static_cast<int64_t>(arrived_cursor) - core.accounted();
     queue_depth_hist->Observe(static_cast<double>(depth));
 
     // Load shedding: an over-deep queue means the device has fallen behind
@@ -243,7 +158,7 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
       CountMetric("serving.shed", n);
       if (trace.enabled()) {
         trace.AddCompleteEvent(
-            "shed", "serving.batch", start, /*dur_us=*/-1.0,
+            "shed", "serving.batch", first_start, /*dur_us=*/-1.0,
             TraceSession::kSimPid, /*tid=*/0,
             {{"requests", std::to_string(n)},
              {"queue_depth", std::to_string(depth)}});
@@ -256,7 +171,7 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
     std::vector<const Request*> live;
     live.reserve(batch.requests.size());
     for (const Request& r : batch.requests) {
-      if (r.deadline_us > 0.0 && r.deadline_us < start) {
+      if (r.deadline_us > 0.0 && r.deadline_us < first_start) {
         ++stats.deadline_missed;
         CountMetric("serving.deadline_missed");
       } else {
@@ -264,6 +179,7 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
       }
     }
     if (live.empty()) continue;
+    const int64_t live_n = static_cast<int64_t>(live.size());
 
     // Activate a request context for the batch's oldest live request so
     // the synchronous call chain below — PredictPeakBytes, engine Query,
@@ -284,14 +200,13 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
     if (options.memory_limit_bytes > 0) {
       Result<int64_t> predicted = engine->PredictPeakBytes(shapes);
       if (predicted.ok() && *predicted > options.memory_limit_bytes) {
-        const int64_t live_n = static_cast<int64_t>(live.size());
         stats.shed += live_n;
         stats.memory_shed += live_n;
         CountMetric("serving.shed", live_n);
         CountMetric("serving.memory_shed", live_n);
         if (trace.enabled()) {
           trace.AddCompleteEvent(
-              "memory-shed", "serving.batch", start, /*dur_us=*/-1.0,
+              "memory-shed", "serving.batch", first_start, /*dur_us=*/-1.0,
               TraceSession::kSimPid, /*tid=*/0,
               {{"requests", std::to_string(live_n)},
                {"predicted_peak_bytes", std::to_string(*predicted)},
@@ -302,93 +217,54 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
       }
     }
 
-    // Execute with retry-with-backoff on retryable errors. The backoff
-    // advances the simulated clock, so breaker cooldowns can elapse
-    // between attempts.
-    const int64_t fallback_before = engine->stats().fallback_queries;
-    Result<EngineTiming> attempt_result = EngineTiming{};
-    int64_t batch_retries = 0;
-    for (int64_t attempt = 0;; ++attempt) {
-      engine->SetSimulatedTimeUs(start);
-      attempt_result = engine->Query(shapes, device);
-      if (attempt_result.ok()) break;
-      const Status& error = attempt_result.status();
-      if (!error.IsRetryable() || attempt >= options.max_retries) break;
-      ++stats.retries;
-      ++batch_retries;
-      CountMetric("serving.retries");
-      start += options.retry_backoff_us * std::pow(2.0, attempt);
-    }
-    if (!attempt_result.ok()) {
-      const int64_t live_n = static_cast<int64_t>(live.size());
-      stats.failed += live_n;
-      const std::string code =
-          StatusCodeToString(attempt_result.status().code());
-      stats.error_counts[code] += live_n;
-      CountMetric("serving.errors." + code, live_n);
+    const LaunchResult launch = core.Launch(shapes, first_start);
+    const double start = launch.start_us;
+    if (!launch.ok()) {
+      core.BookFailure(launch.status, live_n);
       clock_us = std::max(clock_us, start);
       if (trace.enabled()) {
         trace.AddCompleteEvent(
             "batch-failed", "serving.batch", start, /*dur_us=*/-1.0,
             TraceSession::kSimPid, /*tid=*/0,
             {{"requests", std::to_string(live_n)},
-             {"error", attempt_result.status().ToString()}});
+             {"error", launch.status.ToString()}});
       }
       continue;
     }
-    const EngineTiming timing = *attempt_result;
-    double done = start + timing.total_us;
+    const EngineTiming& timing = launch.timing;
+    const double done = launch.done_us();
     clock_us = done;
-    const bool batch_degraded =
-        engine->stats().fallback_queries > fallback_before;
-    if (batch_degraded) {
-      stats.degraded += static_cast<int64_t>(live.size());
-      CountMetric("serving.degraded", static_cast<int64_t>(live.size()));
-    }
+    if (launch.degraded) core.BookDegraded(live_n);
 
-    batch_size_hist->Observe(static_cast<double>(live.size()));
+    batch_size_hist->Observe(static_cast<double>(live_n));
 
-    const double backoff_us = start - first_start;
     int64_t batch_real_tokens = 0;
     for (const Request* r : live) {
       const double e2e = done - r->arrival_us;
-      latencies.push_back(e2e);
-      real_tokens += r->seq_len;
       batch_real_tokens += r->seq_len;
       queue_wait_hist->Observe(start - r->arrival_us);
       latency_hist->Observe(e2e, r->trace_id);
 
       // Itemized causal decomposition of this request's latency. The
-      // serving segments (batch_form / queue / backoff) are geometry of
-      // the simulated timeline; the execution segments come from the
-      // engine's component timings — so the DISC_CHECK below also pins
-      // the engine invariant total == device + host + compile + alloc.
-      CompletedRequest record;
-      record.trace_id = r->trace_id;
-      record.request_id = r->id;
-      record.signature = signature;
-      record.arrival_us = r->arrival_us;
-      record.e2e_us = e2e;
-      record.degraded = batch_degraded;
-      record.retries = batch_retries;
-      record.ledger.batch_form_us = batch.ready_us - r->arrival_us;
-      record.ledger.queue_us = first_start - batch.ready_us;
-      record.ledger.backoff_us = backoff_us;
-      record.ledger.compile_stall_us = timing.compile_us;
-      record.ledger.host_plan_us = timing.host_us;
-      record.ledger.alloc_us = timing.alloc_us;
-      record.ledger.device_us = timing.device_us;
-      const double ledger_total = record.ledger.TotalUs();
-      DISC_CHECK(std::abs(ledger_total - e2e) <= 1e-6 * std::max(1.0, e2e))
-          << StrFormat("request %lld ledger drifted: phases sum to %.6f, "
-                       "e2e is %.6f (%s)",
-                       static_cast<long long>(r->id), ledger_total, e2e,
-                       record.ledger.ToString().c_str());
-      stats.completed_requests.push_back(std::move(record));
+      // serving segments (batch_form / queue) are geometry of the
+      // simulated timeline; the launch charges backoff and the engine's
+      // component timings — so the core's ledger check also pins the
+      // engine invariant total == device + host + compile + alloc.
+      PhaseLedger ledger;
+      ledger.batch_form_us = batch.ready_us - r->arrival_us;
+      ledger.queue_us = first_start - batch.ready_us;
+      launch.Charge(&ledger);
+      core.Complete({.trace_id = r->trace_id,
+                     .request_id = r->id,
+                     .signature = signature,
+                     .arrival_us = r->arrival_us,
+                     .e2e_us = e2e,
+                     .ledger = ledger,
+                     .degraded = launch.degraded,
+                     .retries = launch.retries});
     }
-    stats.completed += static_cast<int64_t>(live.size());
 
-    if (recorder.enabled() && !live.empty()) {
+    if (recorder.enabled()) {
       // One lock + one signature lookup per batch; annotation strings are
       // only built if the recorder actually retains an outlier.
       const size_t first_new = stats.completed_requests.size() - live.size();
@@ -397,18 +273,13 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
           [&]() -> std::vector<std::pair<std::string, std::string>> {
             return {{"shape", signature},
                     {"policy", PadPolicyName(options.pad)},
-                    {"retries", std::to_string(batch_retries)},
-                    {"degraded", batch_degraded ? "1" : "0"},
+                    {"retries", std::to_string(launch.retries)},
+                    {"degraded", launch.degraded ? "1" : "0"},
                     {"compile_stall_us", StrFormat("%.1f", timing.compile_us)}};
           });
     }
-    const int64_t batch_padded_tokens = batch.padded_batch * batch.padded_seq;
-    padded_tokens += batch_padded_tokens;
-    const double batch_waste_pct =
-        batch_padded_tokens > 0
-            ? 100.0 * (1.0 - static_cast<double>(batch_real_tokens) /
-                                 static_cast<double>(batch_padded_tokens))
-            : 0.0;
+    const double batch_waste_pct = core.AddTokens(
+        batch_real_tokens, batch.padded_batch * batch.padded_seq);
     pad_waste_hist->Observe(batch_waste_pct);
 
     if (trace.enabled()) {
@@ -419,7 +290,7 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
           "batch", "serving.batch", start, timing.total_us,
           TraceSession::kSimPid, /*tid=*/0,
           {{"shape", signature},
-           {"requests", std::to_string(live.size())},
+           {"requests", std::to_string(live_n)},
            {"pad_waste_pct", StrFormat("%.0f", batch_waste_pct)},
            {"policy", PadPolicyName(options.pad)}});
       for (const Request* r : live) {
@@ -455,41 +326,7 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
     }
   }
 
-  std::sort(latencies.begin(), latencies.end());
-  auto pct = [&](double p) {
-    if (latencies.empty()) return 0.0;
-    double idx = p / 100.0 * static_cast<double>(latencies.size() - 1);
-    size_t lo = static_cast<size_t>(idx);
-    size_t hi = std::min(lo + 1, latencies.size() - 1);
-    double frac = idx - static_cast<double>(lo);
-    return latencies[lo] * (1 - frac) + latencies[hi] * frac;
-  };
-  stats.p50_us = pct(50);
-  stats.p95_us = pct(95);
-  stats.p99_us = pct(99);
-  double total = 0;
-  for (double l : latencies) total += l;
-  stats.mean_us =
-      latencies.empty() ? 0.0 : total / static_cast<double>(latencies.size());
-  stats.throughput_qps =
-      clock_us > 0 ? static_cast<double>(stats.completed) / clock_us * 1e6
-                   : 0.0;
-  stats.padded_token_fraction =
-      padded_tokens > 0
-          ? 1.0 - static_cast<double>(real_tokens) /
-                      static_cast<double>(padded_tokens)
-          : 0.0;
-  const int64_t hits = engine->stats().launch_plan_hits - hits_before;
-  const int64_t misses = engine->stats().launch_plan_misses - misses_before;
-  stats.plan_hit_rate =
-      hits + misses > 0
-          ? static_cast<double>(hits) / static_cast<double>(hits + misses)
-          : 0.0;
-  stats.kernel_launches = launch_counter->value() - launches_before;
-  stats.memory_bound_launches =
-      memory_bound_counter->value() - memory_bound_before;
-  DISC_CHECK_EQ(accounted(), stats.submitted)
-      << "serving accounting drifted";
+  core.Finalize(clock_us);
   return stats;
 }
 

@@ -321,6 +321,126 @@ TEST(DecodeSchedulerTest, BacklogShedsFreshRequestsOnly) {
   EXPECT_EQ(sv.completed + sv.shed, sv.submitted);
 }
 
+// Scripted launch failures for the retry ladder: queries numbered
+// [fail_from, fail_from + fail_count) fail with `code`; every other query
+// costs a flat 100us.
+class FlakyStepEngine : public Engine {
+ public:
+  FlakyStepEngine(int64_t fail_from, int64_t fail_count,
+                  StatusCode code = StatusCode::kUnavailable)
+      : fail_from_(fail_from), fail_count_(fail_count), code_(code) {}
+
+  const std::string& name() const override { return name_; }
+  Status Prepare(const Graph&,
+                 std::vector<std::vector<std::string>>) override {
+    return Status::OK();
+  }
+  Result<EngineTiming> Query(const std::vector<std::vector<int64_t>>&,
+                             const DeviceSpec&) override {
+    CountQuery();
+    const int64_t n = queries_++;
+    if (n >= fail_from_ && n < fail_from_ + fail_count_) {
+      return Status(code_, "scripted failure");
+    }
+    EngineTiming timing;
+    timing.device_us = 100.0;
+    timing.total_us = 100.0;
+    return timing;
+  }
+  int64_t queries() const { return queries_; }
+
+ private:
+  std::string name_ = "flaky-step";
+  int64_t fail_from_;
+  int64_t fail_count_;
+  StatusCode code_;
+  int64_t queries_ = 0;
+};
+
+TEST(DecodeRetryLadderTest, RetryableStepErrorsAreRetriedWithBackoff) {
+  FlakyStepEngine engine(/*fail_from=*/0, /*fail_count=*/2);
+  DecodeOptions options;
+  options.max_retries = 2;
+  options.retry_backoff_us = 500.0;
+  auto requests = FixedStream({{0, 8, 3}, {0, 8, 3}});
+  auto stats = SimulateDecode(&engine, StepShapes, requests, options,
+                              DeviceSpec::T4());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServingStats& sv = stats->serving;
+  EXPECT_EQ(sv.retries, 2);
+  EXPECT_EQ(sv.completed, 2);
+  EXPECT_EQ(sv.failed, 0);
+  // Three steps plus the two failed attempts of the first one, which
+  // launched after 500 + 1000us of backoff.
+  EXPECT_EQ(engine.queries(), 5);
+  ASSERT_EQ(stats->timeline.size(), 3u);
+  EXPECT_DOUBLE_EQ(stats->timeline[0].start_us, 1500.0);
+}
+
+TEST(DecodeRetryLadderTest, BackoffLandsInEveryLiveLedger) {
+  FlakyStepEngine engine(/*fail_from=*/1, /*fail_count=*/1);
+  DecodeOptions options;
+  options.max_retries = 2;
+  options.retry_backoff_us = 500.0;
+  auto requests = FixedStream({{0, 8, 3}, {0, 16, 4}});
+  auto stats = SimulateDecode(&engine, StepShapes, requests, options,
+                              DeviceSpec::T4());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServingStats& sv = stats->serving;
+  EXPECT_EQ(sv.retries, 1);
+  ASSERT_EQ(sv.completed_requests.size(), 2u);
+  for (const CompletedRequest& r : sv.completed_requests) {
+    // The second step retried once: both sequences were live in it.
+    EXPECT_DOUBLE_EQ(r.ledger.backoff_us, 500.0) << r.request_id;
+    EXPECT_EQ(r.retries, 1) << r.request_id;
+    EXPECT_NEAR(r.ledger.TotalUs(), r.e2e_us, 1e-6 * r.e2e_us)
+        << r.ledger.ToString();
+  }
+}
+
+TEST(DecodeRetryLadderTest, ExhaustedLadderFailsLiveMembersOnly) {
+  // Whole-request: the short sequence finishes in step one and freezes,
+  // holding its row and blocks; every later launch fails.
+  FlakyStepEngine engine(/*fail_from=*/1, /*fail_count=*/1000);
+  DecodeOptions options;
+  options.policy = DecodePolicy::kWholeRequest;
+  options.max_retries = 2;
+  auto requests = FixedStream({{0, 8, 1}, {0, 8, 4}});
+  auto stats = SimulateDecode(&engine, StepShapes, requests, options,
+                              DeviceSpec::T4());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServingStats& sv = stats->serving;
+  EXPECT_EQ(sv.completed, 1);
+  EXPECT_EQ(sv.failed, 1);
+  EXPECT_EQ(sv.retries, 2);
+  EXPECT_EQ(engine.queries(), 1 + 3);
+  ASSERT_EQ(sv.error_counts.size(), 1u);
+  EXPECT_EQ(sv.error_counts.at("Unavailable"), 1);
+  // The frozen row only released its blocks (the replay checks no block
+  // leaked); it was never retired through a drained batch.
+  EXPECT_EQ(sv.decode_retires, 0);
+  EXPECT_GT(sv.kv_block_recycles, 0);
+  EXPECT_EQ(sv.submitted,
+            sv.completed + sv.shed + sv.deadline_missed + sv.failed);
+}
+
+TEST(DecodeRetryLadderTest, NonRetryableStepErrorFailsWithoutRetry) {
+  FlakyStepEngine engine(/*fail_from=*/0, /*fail_count=*/1000,
+                         StatusCode::kInternal);
+  DecodeOptions options;
+  options.max_retries = 5;
+  auto requests = FixedStream({{0, 8, 3}, {0, 8, 3}});
+  auto stats = SimulateDecode(&engine, StepShapes, requests, options,
+                              DeviceSpec::T4());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServingStats& sv = stats->serving;
+  EXPECT_EQ(sv.retries, 0);
+  EXPECT_EQ(engine.queries(), 1);
+  EXPECT_EQ(sv.failed, 2);
+  EXPECT_EQ(sv.error_counts.at("Internal"), 2);
+  EXPECT_TRUE(stats->timeline.empty());
+}
+
 TEST(DecodeSchedulerTest, MemoryAwareAdmissionCountsKvFootprint) {
   StepCostEngine engine;  // PredictPeakBytes == 0: activations unpriced
   DecodeOptions options;

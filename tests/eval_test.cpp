@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "support/rng.h"
 
@@ -71,6 +74,69 @@ TEST(EvalTest, IntegerDivModTruncate) {
   EXPECT_EQ(out[0].i64_data()[0], 3);
   EXPECT_EQ(out[0].i64_data()[1], 2);
   EXPECT_EQ(out[1].i64_data()[2], 4);
+}
+
+TEST(EvalTest, IntegerDivisionByZeroIsAnError) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* a = b.Input("a", DType::kI64, {2});
+  Value* d = b.Input("d", DType::kI64, {2});
+  b.Output({b.Div(a, d)});
+  auto r = EvaluateGraph(
+      g, {Tensor::I64({2}, {7, 8}), Tensor::I64({2}, {2, 0})});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().ToString().find("integer division by zero"),
+            std::string::npos)
+      << r.status().ToString();
+
+  Graph m;
+  GraphBuilder mb(&m);
+  Value* x = mb.Input("x", DType::kI64, {1});
+  Value* y = mb.Input("y", DType::kI64, {1});
+  mb.Output({mb.Binary(OpKind::kMod, x, y)});
+  auto mod = EvaluateGraph(m, {Tensor::I64({1}, {5}), Tensor::I64({1}, {0})});
+  ASSERT_FALSE(mod.ok());
+  EXPECT_NE(mod.status().ToString().find("integer division by zero"),
+            std::string::npos);
+}
+
+TEST(EvalTest, IntegerDivisionOverflowIsAnError) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* a = b.Input("a", DType::kI64, {1});
+  Value* d = b.Input("d", DType::kI64, {1});
+  b.Output({b.Div(a, d)});
+  auto r = EvaluateGraph(
+      g, {Tensor::I64({1}, {std::numeric_limits<int64_t>::min()}),
+          Tensor::I64({1}, {-1})});
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("integer division overflow"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(EvalTest, ConstantFoldKeepsZeroDivisorNodeAndCompiles) {
+  // Folding evaluates div on two constants; the zero divisor makes that
+  // evaluation fail, so the node stays for the runtime to report.
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kI64, {2});
+  Value* q = b.Div(b.Constant(Tensor::I64({2}, {7, 8})),
+                   b.Constant(Tensor::I64({2}, {2, 0})));
+  b.Output({b.Add(x, q)});
+  auto exe = DiscCompiler::Compile(g);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  bool div_kept = false;
+  for (const Node* node : (*exe)->graph().nodes()) {
+    div_kept = div_kept || node->kind() == OpKind::kDiv;
+  }
+  EXPECT_TRUE(div_kept);
+  auto run = (*exe)->Run({Tensor::I64({2}, {1, 1})});
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.status().ToString().find("integer division by zero"),
+            std::string::npos)
+      << run.status().ToString();
 }
 
 TEST(EvalTest, ReduceOps) {
@@ -261,6 +327,30 @@ TEST(EvalTest, PadWithValue) {
   auto out = Eval(g, {Tensor::F32({2}, {5, 6})});
   EXPECT_TRUE(
       Tensor::AllClose(out[0], Tensor::F32({5}, {-1, 5, 6, -1, -1})));
+}
+
+TEST(EvalTest, NegativePadCropsLikeCompiledKernel) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {4});
+  b.Output({b.Pad(x, {-1}, {1}, 0.0)});
+  const Tensor input = Tensor::F32({4}, {1, 2, 3, 4});
+  auto reference = EvaluateGraph(g, {input});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const Tensor expected = Tensor::F32({4}, {2, 3, 4, 0});
+  ASSERT_EQ((*reference)[0].dims(), expected.dims());
+  EXPECT_EQ(std::memcmp((*reference)[0].f32_data(), expected.f32_data(),
+                        4 * sizeof(float)),
+            0);
+
+  auto exe = DiscCompiler::Compile(g);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  auto compiled = (*exe)->Run({input});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ASSERT_EQ(compiled->outputs[0].dims(), expected.dims());
+  EXPECT_EQ(std::memcmp(compiled->outputs[0].f32_data(),
+                        (*reference)[0].f32_data(), 4 * sizeof(float)),
+            0);
 }
 
 TEST(EvalTest, ShapeOfAndDim) {

@@ -7,6 +7,7 @@
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
+#include "support/math_util.h"
 #include "support/rng.h"
 
 namespace disc {
@@ -180,8 +181,9 @@ TEST(RuntimeTest, SameExecutableIsReentrant) {
 
 TEST(RuntimeTest, PlanCacheHitsCutHostOverhead) {
   // Repeat-heavy trace: plan hits must skip the symbolic phase. Compare
-  // mean measured host planning time on hits vs misses — the ISSUE target
-  // is >=2x; real ratios are >10x, so 2x keeps CI noise-proof.
+  // median measured host planning time on hits vs misses — the target is
+  // >=2x; real ratios are >10x, so 2x keeps CI noise-proof. Medians, not
+  // means: one descheduled run on a loaded host must not decide the test.
   Graph g;
   GraphBuilder b(&g);
   Value* x = b.Input("x", DType::kF32, {kDynamicDim, 64});
@@ -191,27 +193,22 @@ TEST(RuntimeTest, PlanCacheHitsCutHostOverhead) {
   auto exe = DiscCompiler::Compile(g, {{"B", ""}});
   ASSERT_TRUE(exe.ok());
 
-  double miss_us = 0.0, hit_us = 0.0;
-  int64_t misses = 0, hits = 0;
+  std::vector<double> miss_us, hit_us;
   for (int round = 0; round < 200; ++round) {
     int64_t batch = 1 + round % 4;  // 4 signatures, 50 repeats each
     auto r = (*exe)->RunWithShapes({{batch, 64}});
     ASSERT_TRUE(r.ok());
-    if (r->profile.launch_plan_hit) {
-      hit_us += r->profile.host_plan_us;
-      ++hits;
-    } else {
-      miss_us += r->profile.host_plan_us;
-      ++misses;
-    }
+    (r->profile.launch_plan_hit ? hit_us : miss_us)
+        .push_back(r->profile.host_plan_us);
   }
-  ASSERT_EQ(misses, 4);
-  ASSERT_EQ(hits, 196);
-  EXPECT_GE(static_cast<double>(hits) / 200.0, 0.8);  // repeat-heavy trace
-  double mean_miss = miss_us / static_cast<double>(misses);
-  double mean_hit = hit_us / static_cast<double>(hits);
-  EXPECT_GE(mean_miss, 2.0 * mean_hit)
-      << "mean miss " << mean_miss << "us vs mean hit " << mean_hit << "us";
+  ASSERT_EQ(miss_us.size(), 4u);
+  ASSERT_EQ(hit_us.size(), 196u);
+  EXPECT_GE(static_cast<double>(hit_us.size()) / 200.0, 0.8);
+  const double median_miss = Percentile(miss_us, 50);
+  const double median_hit = Percentile(hit_us, 50);
+  EXPECT_GE(median_miss, 2.0 * median_hit)
+      << "median miss " << median_miss << "us vs median hit " << median_hit
+      << "us";
 }
 
 TEST(RuntimeTest, FullyDynamicTraceDegradesGracefully) {
@@ -229,22 +226,22 @@ TEST(RuntimeTest, FullyDynamicTraceDegradesGracefully) {
 
   RunOptions off;
   off.use_launch_plan_cache = false;
-  auto timed = [&](const RunOptions& options) {
-    // Warm-up pass so allocator/lazy state doesn't skew either arm.
-    for (int64_t batch = 1; batch <= 50; ++batch) {
-      EXPECT_TRUE((*exe)->RunWithShapes({{batch, 64}}, options).ok());
-    }
-    double total = 0.0;
-    for (int64_t batch = 51; batch <= 450; ++batch) {
-      auto r = (*exe)->RunWithShapes({{batch, 64}}, options);
-      EXPECT_TRUE(r.ok());
-      EXPECT_FALSE(r->profile.launch_plan_hit);
-      total += r->profile.host_plan_us;
-    }
-    return total / 400.0;
-  };
-  double uncached_us = timed(off);
-  double all_miss_us = timed(RunOptions{});
+  // The two arms run interleaved, run by run, so a stall on a loaded host
+  // lands in both arms alike; the medians then ignore it. (Cache-off runs
+  // never populate the cache, so every cached run still misses.)
+  std::vector<double> uncached, all_miss;
+  for (int64_t batch = 1; batch <= 450; ++batch) {
+    auto r_off = (*exe)->RunWithShapes({{batch, 64}}, off);
+    auto r_on = (*exe)->RunWithShapes({{batch, 64}}, RunOptions{});
+    ASSERT_TRUE(r_off.ok() && r_on.ok());
+    EXPECT_FALSE(r_on->profile.launch_plan_hit);
+    // The first 50 are warm-up, so allocator/lazy state skews neither arm.
+    if (batch <= 50) continue;
+    uncached.push_back(r_off->profile.host_plan_us);
+    all_miss.push_back(r_on->profile.host_plan_us);
+  }
+  const double uncached_us = Percentile(uncached, 50);
+  const double all_miss_us = Percentile(all_miss, 50);
   // Generous bound: wall-clock micro-timings jitter under CI load, and the
   // point is only that misses are not pathologically slower.
   EXPECT_LE(all_miss_us, 3.0 * uncached_us + 20.0)
